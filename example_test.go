@@ -102,10 +102,9 @@ func ExampleNewEngine_cacheConfiguration() {
 	eng, err := rip.NewEngine(tech, rip.EngineOptions{
 		Workers: 1,
 		Cache: rip.CacheOptions{
-			Capacity:          1 << 16, // solutions kept across batches
-			Shards:            32,      // lock striping for many workers
-			LengthQuantum:     1e-6,    // 1 µm signature grid
-			TargetMultQuantum: 1e-3,    // 0.1 % τmin slack classes
+			Capacity:      1 << 16, // solutions kept across batches
+			Shards:        32,      // lock striping for many workers
+			LengthQuantum: 1e-6,    // 1 µm signature grid
 		},
 	})
 	if err != nil {

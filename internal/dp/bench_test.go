@@ -161,3 +161,41 @@ func BenchmarkSolvePooled(b *testing.B) {
 		}
 	}
 }
+
+// benchmarkSolveFront measures the engine's native front solve: one
+// unbounded width-aware sweep over the space engine.frontOptions builds
+// (library 10–400 µ in steps of 40, 200 µm pitch, ladder on). Most of its
+// time goes to the per-level repeater-bucket sorts.
+func benchmarkSolveFront(b *testing.B, ev *delay.Evaluator, cpl *delay.Coupling) {
+	lib, err := repeater.Range(10, 400, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Library: lib, Pitch: 200 * units.Micron, Ladder: true, Coupling: cpl}
+	s := NewSolver()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		front, _, err := s.SolveFront(ev, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(front) == 0 {
+			b.Fatal("benchmark front must not be empty")
+		}
+	}
+}
+
+func BenchmarkSolveFront_g40Ladder(b *testing.B) {
+	benchmarkSolveFront(b, benchEval(b), nil)
+}
+
+// BenchmarkSolveFrontCoupled_g40Ladder is the crosstalk twin: the same
+// front space under worst-case aggressors with staggering on the menu.
+func BenchmarkSolveFrontCoupled_g40Ladder(b *testing.B) {
+	cpl, err := delay.NewCoupling(tech.T180(), delay.AggressorWorst, delay.SchemeModeStaggered)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkSolveFront(b, benchCoupledEval(b), cpl)
+}

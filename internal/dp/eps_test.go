@@ -396,13 +396,17 @@ func FuzzEpsSolve(f *testing.F) {
 // TestParallelPruneStress hammers the intra-net parallel prune from many
 // concurrent solvers (run with -race in CI): every parallel schedule must
 // reproduce the serial solve bit-exactly — assignments and work stats
-// included — and the worker-budget hooks must never deadlock.
+// included — and the worker-budget hooks must never deadlock. The mix
+// includes a laddered front solve and a coupled solve, whose wide
+// repeater buckets exercise each reducer's own bucket-sort scratch.
 func TestParallelPruneStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	type inst struct {
-		ev   *delay.Evaluator
-		opts Options
-		want Solution
+		ev        *delay.Evaluator
+		opts      Options
+		front     bool // SolveFront instead of SolveInto
+		want      Solution
+		wantFront Front
 	}
 	var instances []inst
 	s := NewSolver()
@@ -411,21 +415,36 @@ func TestParallelPruneStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cev := evalFor(t, coupledPaperishLine(t))
+	cpl, err := delay.NewCoupling(tech.T180(), delay.AggressorWorst, delay.SchemeModeStaggered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctmin, err := MinimumDelay(cev, Options{Library: lib(t, 10, 40, 10), Pitch: 200 * units.Micron, Coupling: cpl})
+	if err != nil {
+		t.Fatal(err)
+	}
 	instances = append(instances,
 		inst{ev: ev, opts: Options{Library: lib(t, 10, 10, 40), Pitch: 200 * units.Micron, Objective: MinPower, Target: 1.3 * tmin}},
 		inst{ev: ev, opts: Options{Library: lib(t, 10, 10, 40), Pitch: 200 * units.Micron, Objective: MinDelay}},
 		inst{ev: ev, opts: Options{Library: lib(t, 10, 10, 40), Pitch: 200 * units.Micron, Objective: MinPower, Target: 1.2 * tmin, Ladder: true, Eps: DefaultEps}},
+		inst{ev: ev, opts: Options{Library: lib(t, 10, 40, 10), Pitch: 200 * units.Micron, Ladder: true}, front: true},
+		inst{ev: cev, opts: Options{Library: lib(t, 10, 40, 10), Pitch: 200 * units.Micron, Objective: MinPower, Target: 1.3 * ctmin, Ladder: true, Coupling: cpl}},
 	)
 	for trial := 0; trial < 12; trial++ {
 		rev, ropts := randomInstance(t, rng)
 		instances = append(instances, inst{ev: rev, opts: ropts})
 	}
 	for i := range instances {
-		want, err := s.Solve(instances[i].ev, instances[i].opts)
+		in := &instances[i]
+		if in.front {
+			in.wantFront, _, err = s.SolveFront(in.ev, in.opts)
+		} else {
+			in.want, err = s.Solve(in.ev, in.opts)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		instances[i].want = want
 	}
 
 	// A bounded shared worker budget, the shape the engine passes in.
@@ -457,6 +476,18 @@ func TestParallelPruneStress(t *testing.T) {
 						popts.AcquireWorker = acquire
 						popts.ReleaseWorker = release
 					}
+					if instances[i].front {
+						got, _, err := ps.SolveFront(instances[i].ev, popts)
+						if err != nil {
+							t.Errorf("goroutine %d inst %d: %v", g, i, err)
+							return
+						}
+						if !sameFront(got, instances[i].wantFront) {
+							t.Errorf("goroutine %d inst %d: parallel front diverged", g, i)
+							return
+						}
+						continue
+					}
 					if err := ps.SolveInto(&sol, instances[i].ev, popts); err != nil {
 						t.Errorf("goroutine %d inst %d: %v", g, i, err)
 						return
@@ -470,7 +501,8 @@ func TestParallelPruneStress(t *testing.T) {
 						return
 					}
 					if !slices.Equal(sol.Assignment.Positions, want.Assignment.Positions) ||
-						!slices.Equal(sol.Assignment.Widths, want.Assignment.Widths) {
+						!slices.Equal(sol.Assignment.Widths, want.Assignment.Widths) ||
+						!slices.Equal(sol.Schemes, want.Schemes) {
 						t.Errorf("goroutine %d inst %d: parallel assignment diverged", g, i)
 						return
 					}
@@ -482,4 +514,37 @@ func TestParallelPruneStress(t *testing.T) {
 	if len(slots) != 0 {
 		t.Fatalf("%d worker slots leaked", len(slots))
 	}
+}
+
+// coupledPaperishLine is paperishLine with T180-like coupling densities
+// on every segment.
+func coupledPaperishLine(t *testing.T) *wire.Line {
+	t.Helper()
+	line, err := wire.New([]wire.Segment{
+		{Length: 2.5e-3, ROhmPerM: 8e4, CFPerM: 2.3e-10, CcFPerM: 1.6e-10, Layer: "metal4"},
+		{Length: 3.0e-3, ROhmPerM: 6e4, CFPerM: 2.1e-10, CcFPerM: 1.4e-10, Layer: "metal5"},
+		{Length: 2.5e-3, ROhmPerM: 8e4, CFPerM: 2.3e-10, CcFPerM: 1.6e-10, Layer: "metal4"},
+	}, []wire.Zone{{Start: 3.4e-3, End: 5.0e-3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// sameFront reports whether two fronts agree bit for bit: every point's
+// delay, width, cost, assignment and scheme vector.
+func sameFront(a, b Front) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		p, q := &a[i], &b[i]
+		if p.Delay != q.Delay || p.TotalWidth != q.TotalWidth || p.Cost != q.Cost ||
+			!slices.Equal(p.Assignment.Positions, q.Assignment.Positions) ||
+			!slices.Equal(p.Assignment.Widths, q.Assignment.Widths) ||
+			!slices.Equal(p.Schemes, q.Schemes) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,10 +1,11 @@
 package dp
 
 import (
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"github.com/rip-eda/rip/internal/pareto"
 )
 
 // Pruning strategy
@@ -21,12 +22,21 @@ import (
 // value.
 //
 //   - Within a repeater bucket, 3-D dominance degenerates to 2-D (d, w)
-//     dominance: a 2-key sort plus a linear sweep keeps the bucket's front
+//     dominance: a sort on d plus a linear sweep keeps the bucket's front
 //     (d ascending, w strictly descending). Under the delay objective the
 //     whole bucket collapses to its min-d element with no sort at all.
 //     Because the bucket's c and action are constants, the bucket stores
 //     bare (d, w, next) records — 24 bytes instead of 40 — so the sort
 //     and sweep stream 40% less memory (the SoA layout of the hot merge).
+//   - The bucket sort calls no comparator (pareto.Sorter): a stable
+//     most-significant-digit radix sort on the order-preserving uint64
+//     image of d, relative to the bucket's key range so shared leading
+//     bits are skipped, finished by an insertion pass that also orders
+//     equal-d runs by (w, sch); small buckets are insertion-sorted
+//     outright. The result is the total order (d, w, sch, generation
+//     index), so an exact value tie keeps the plain scheme, then the
+//     earliest-generated option. Each concurrent reducer owns a Sorter,
+//     so the scratch is race-free and a warm solve allocates nothing.
 //   - The no-repeater bucket inherits the downstream level's (c, d, w)
 //     order (kept runs are emitted sorted), so it is already sorted; a
 //     linear check guards the rare rounding collision that breaks the
@@ -68,13 +78,9 @@ type dw struct{ d, w float64 }
 
 // dwn is one repeater-bucket record: the bucket's c and action are
 // constants held once in the pruner, so options in it are just
-// (delay, width, arena-link) plus the scheme byte coupled solves carry
-// (it fits in the struct's existing padding).
-type dwn struct {
-	d, w float64
-	next int32
-	sch  uint8
-}
+// (Key = delay, W = width, Ref = arena link) plus the scheme byte coupled
+// solves carry in Tag (it fits in the struct's existing padding).
+type dwn = pareto.Rec
 
 // mergeHead is one cursor of the k-way bucket merge.
 type mergeHead struct {
@@ -92,6 +98,9 @@ type pruner struct {
 	frontD []float64 // incremental front, delay coordinates (ascending)
 	frontW []float64 // incremental front, width coordinates (descending)
 	heap   []mergeHead
+	// sorters holds the repeater-bucket sort scratch, one per concurrent
+	// reducer, so the parallel stage 1 shares none.
+	sorters []pareto.Sorter
 
 	// epsMul > 1 enables ε-relaxed dominance in the merge filter: an
 	// option is pruned when a kept entry dominates its (c, w) and has
@@ -151,7 +160,7 @@ func (p *pruner) add(bi int, o option) {
 		return
 	}
 	p.rbC[bi-1] = o.c
-	p.rb[bi-1] = append(p.rb[bi-1], dwn{d: o.d, w: o.w, next: o.next, sch: o.sch})
+	p.rb[bi-1] = append(p.rb[bi-1], dwn{Key: o.d, W: o.w, Ref: o.next, Tag: o.sch})
 }
 
 // generated reports the number of options currently in the buckets.
@@ -204,57 +213,16 @@ func (p *pruner) reduceB0(threeD bool) {
 	}
 }
 
-// reduceRB reduces repeater bucket bi to its own (d, w) front — or, width
-// ignored, to its single min-d element.
-func (p *pruner) reduceRB(bi int, threeD bool) {
-	b := p.rb[bi]
-	if len(b) <= 1 {
-		return
-	}
-	if !threeD {
-		// Constant c, width ignored: the min-d element dominates the
-		// whole bucket. Keep the first minimum.
-		best := 0
-		for i := 1; i < len(b); i++ {
-			if b[i].d < b[best].d {
-				best = i
-			}
-		}
-		b[0] = b[best]
-		p.rb[bi] = b[:1]
-		return
-	}
-	// Constant c: 2-D (d, w) front. Sort by (d, w) and keep strictly
-	// decreasing widths. Ties break by scheme (see cmpOpt).
-	slices.SortFunc(b, func(a, b dwn) int {
-		switch {
-		case a.d != b.d:
-			if a.d < b.d {
-				return -1
-			}
-			return 1
-		case a.w != b.w:
-			if a.w < b.w {
-				return -1
-			}
-			return 1
-		case a.sch != b.sch:
-			if a.sch < b.sch {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	out := b[:0]
-	minW := math.Inf(1)
-	for i := range b {
-		if b[i].w < minW {
-			minW = b[i].w
-			out = append(out, b[i])
-		}
-	}
-	p.rb[bi] = out
+// reduceRB reduces repeater bucket bi with the sorter's scratch to its
+// own (d, w) front — or, width ignored, to its single min-d element. The
+// bucket has one c, so its front is the 2-D front pareto.Sorter.Reduce
+// extracts: a stable radix sort on d whose insertion pass puts equal-d
+// runs in (w, sch) order, then a sweep keeping strictly decreasing
+// widths. The survivor of an exact value tie is thus the plain scheme
+// (see cmpOpt) and, among equal schemes, the earliest-generated option;
+// width ignored, it is the first minimum.
+func (p *pruner) reduceRB(bi int, threeD bool, srt *pareto.Sorter) {
+	p.rb[bi] = srt.Reduce(p.rb[bi], threeD)
 }
 
 // reduceAll runs stage 1 over every bucket — serially, or fanned across a
@@ -263,47 +231,52 @@ func (p *pruner) reduceRB(bi int, threeD bool) {
 // bucket fronts.
 func (p *pruner) reduceAll(threeD bool) {
 	nb := 1 + len(p.rb)
-	if p.par > 1 && p.generated() >= p.thresh && nb > 1 {
-		var next atomic.Int64
-		work := func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nb {
-					return
-				}
-				if i == 0 {
-					p.reduceB0(threeD)
-				} else {
-					p.reduceRB(i-1, threeD)
-				}
-			}
+	extra := 0 // helper goroutines
+	if p.par > 1 && nb > 1 && p.generated() >= p.thresh {
+		extra = min(p.par-1, nb-1)
+	}
+	// One sorter per concurrent reducer: the caller uses sorters[0],
+	// helper i sorters[i].
+	if len(p.sorters) < extra+1 {
+		p.sorters = make([]pareto.Sorter, extra+1)
+	}
+	if extra == 0 {
+		p.reduceB0(threeD)
+		for bi := range p.rb {
+			p.reduceRB(bi, threeD, &p.sorters[0])
 		}
-		extra := p.par - 1
-		if extra > nb-1 {
-			extra = nb - 1
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < extra; i++ {
-			if p.acquire != nil && !p.acquire() {
-				break // worker budget exhausted: fewer helpers, not an error
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if p.release != nil {
-					defer p.release()
-				}
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
 		return
 	}
-	p.reduceB0(threeD)
-	for bi := range p.rb {
-		p.reduceRB(bi, threeD)
+	var next atomic.Int64
+	work := func(srt *pareto.Sorter) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= nb {
+				return
+			}
+			if i == 0 {
+				p.reduceB0(threeD)
+			} else {
+				p.reduceRB(i-1, threeD, srt)
+			}
+		}
 	}
+	var wg sync.WaitGroup
+	for i := 1; i <= extra; i++ {
+		if p.acquire != nil && !p.acquire() {
+			break // worker budget exhausted: fewer helpers, not an error
+		}
+		wg.Add(1)
+		go func(srt *pareto.Sorter) {
+			defer wg.Done()
+			if p.release != nil {
+				defer p.release()
+			}
+			work(srt)
+		}(&p.sorters[i])
+	}
+	work(&p.sorters[0])
+	wg.Wait()
 }
 
 // frontIdx returns the first front index whose delay exceeds key — the
@@ -361,7 +334,7 @@ func (p *pruner) pruneInto(dst []option, threeD bool) []option {
 			blen = len(p.b0)
 		} else {
 			e := p.rb[h.b-1][h.i]
-			o = option{c: p.rbC[h.b-1], d: e.d, w: e.w, act: h.b - 1, next: e.next, sch: e.sch}
+			o = option{c: p.rbC[h.b-1], d: e.Key, w: e.W, act: h.b - 1, next: e.Ref, sch: e.Tag}
 			blen = len(p.rb[h.b-1])
 		}
 		if int(h.i)+1 < blen {
@@ -479,7 +452,7 @@ func (p *pruner) headVal(h mergeHead) (c, d, w float64) {
 		return o.c, o.d, o.w
 	}
 	e := &p.rb[h.b-1][h.i]
-	return p.rbC[h.b-1], e.d, e.w
+	return p.rbC[h.b-1], e.Key, e.W
 }
 
 // siftDown restores the heap property from index i.

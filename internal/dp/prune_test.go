@@ -111,26 +111,42 @@ func checkPrune(t *testing.T, buckets [][]option, threeD bool) {
 
 // randomBuckets builds a bucketed option set the way the solver generates
 // one: bucket 0 with arbitrary (c, d, w), buckets 1..K each pinned to a
-// constant c. Tie-heavy mode draws every coordinate from a tiny integer
-// grid so duplicates, shared load classes and equal delays are common.
+// constant c, every option with a random scheme byte. Tie-heavy mode
+// draws every coordinate from a tiny integer grid so duplicates, shared
+// load classes and equal delays are common; otherwise coordinates sit on
+// a 0.01 grid with some ±0 and subnormal values. Every fourth set has
+// buckets of up to 160 options, past the repeater-bucket sort's
+// insertion cutoff, so its radix path runs too.
 func randomBuckets(rng *rand.Rand, tieHeavy bool) [][]option {
 	draw := func() float64 {
 		if tieHeavy {
 			return float64(rng.Intn(4))
 		}
+		switch rng.Intn(16) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return 5e-324 * float64(1+rng.Intn(3)) // subnormals
+		}
 		return math.Round(rng.Float64()*1000) / 100
+	}
+	maxN := 12
+	if rng.Intn(4) == 0 {
+		maxN = 160
 	}
 	nb := 1 + rng.Intn(5)
 	buckets := make([][]option, nb)
-	n0 := rng.Intn(12)
+	n0 := rng.Intn(maxN)
 	for i := 0; i < n0; i++ {
-		buckets[0] = append(buckets[0], option{c: draw(), d: draw(), w: draw(), act: -1, next: int32(i)})
+		buckets[0] = append(buckets[0], option{c: draw(), d: draw(), w: draw(), act: -1, next: int32(i), sch: uint8(rng.Intn(3))})
 	}
 	for bi := 1; bi < nb; bi++ {
 		c := draw()
-		nB := rng.Intn(10)
+		nB := rng.Intn(maxN)
 		for i := 0; i < nB; i++ {
-			buckets[bi] = append(buckets[bi], option{c: c, d: draw(), w: draw(), act: int32(bi - 1), next: int32(i)})
+			buckets[bi] = append(buckets[bi], option{c: c, d: draw(), w: draw(), act: int32(bi - 1), next: int32(i), sch: uint8(rng.Intn(3))})
 		}
 	}
 	return buckets
@@ -149,6 +165,34 @@ func TestPruneProperty(t *testing.T) {
 		buckets := randomBuckets(rng, trial%2 == 0)
 		checkPrune(t, buckets, true)
 		checkPrune(t, buckets, false)
+	}
+}
+
+// TestPruneTieRule pins which option represents an exact value tie in a
+// repeater bucket: the lowest scheme byte, then the earliest generated.
+// Bucket sizes straddle the sort's insertion cutoff.
+func TestPruneTieRule(t *testing.T) {
+	for _, n := range []int{6, 200} {
+		var p pruner
+		p.reset(2)
+		// Filler options that the tied value (d=1, w=1) dominates.
+		for i := 0; i < n; i++ {
+			p.add(1, option{c: 5, d: 2 + float64(i%13), w: 3 + float64(i%5), act: 0, next: int32(100 + i)})
+		}
+		// Ties: scheme 1 generated first, then two plain copies.
+		p.rb[0][n/3] = dwn{Key: 1, W: 1, Ref: 10, Tag: 1}
+		p.rb[0][n/2] = dwn{Key: 1, W: 1, Ref: 11}
+		p.rb[0][n-1] = dwn{Key: 1, W: 1, Ref: 12}
+		// A −0 delay ties +0 by value; the earlier one survives.
+		p.rb[0][0] = dwn{Key: math.Copysign(0, -1), W: 9, Ref: 20}
+		p.rb[0][1] = dwn{Key: 0, W: 9, Ref: 21}
+		kept := p.pruneInto(nil, true)
+		if len(kept) != 2 {
+			t.Fatalf("n=%d: kept %+v, want the two tie representatives", n, kept)
+		}
+		if kept[0].next != 20 || kept[1].next != 11 || kept[1].sch != 0 {
+			t.Fatalf("n=%d: kept %+v, want refs 20 and 11 (plain, earliest)", n, kept)
+		}
 	}
 }
 
@@ -176,6 +220,13 @@ func FuzzPrune(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), true)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}, uint8(3), false)
 	f.Add([]byte{255, 1, 128, 7, 3, 3, 3, 3, 9, 0, 64, 2, 2, 2, 200, 90, 13, 5}, uint8(4), true)
+	// A long input fills buckets past the sort's insertion cutoff.
+	long := make([]byte, 3*256)
+	for i := range long {
+		long[i] = byte(i*37 + i/7)
+	}
+	f.Add(long, uint8(2), true)
+	f.Add(long, uint8(1), false)
 	f.Fuzz(func(t *testing.T, data []byte, nb uint8, threeD bool) {
 		nbuckets := 1 + int(nb%5)
 		buckets := make([][]option, nbuckets)
@@ -183,16 +234,24 @@ func FuzzPrune(f *testing.F) {
 		for bi := 1; bi < nbuckets; bi++ {
 			bucketC[bi] = float64(bi * 7 % 5)
 		}
-		for i := 0; i+3 <= len(data) && i < 32*3; i += 3 {
+		// Coordinates on a small grid so dominance ties are common; grid
+		// value 7 reads as −0 (a delay) or a subnormal (a width).
+		coord := func(b byte, odd float64) float64 {
+			if b%8 == 7 {
+				return odd
+			}
+			return float64(b % 8)
+		}
+		for i := 0; i+3 <= len(data) && i < 256*3; i += 3 {
 			bi := int(data[i]) % nbuckets
-			// Coordinates on a small grid so dominance ties are common.
-			d := float64(data[i+1] % 8)
-			w := float64(data[i+2] % 8)
+			d := coord(data[i+1], math.Copysign(0, -1))
+			w := coord(data[i+2], 5e-324)
 			c := float64((int(data[i+1])*256 + int(data[i+2])) % 8)
 			if bi > 0 {
 				c = bucketC[bi]
 			}
-			buckets[bi] = append(buckets[bi], option{c: c, d: d, w: w, act: int32(bi - 1)})
+			sch := data[i] >> 6 % 3
+			buckets[bi] = append(buckets[bi], option{c: c, d: d, w: w, act: int32(bi - 1), sch: sch})
 		}
 		checkPrune(t, buckets, threeD)
 	})

@@ -594,7 +594,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 					if useWc && w > s.wcAt(d*invC+rem) {
 						continue
 					}
-					s.pr.rb[wi] = append(s.pr.rb[wi], dwn{d: d, w: w, next: next})
+					s.pr.rb[wi] = append(s.pr.rb[wi], dwn{Key: d, W: w, Ref: next})
 				}
 			}
 		} else {
@@ -641,7 +641,7 @@ func (s *Solver) runLevels(ev *delay.Evaluator, opts Options, bound float64, thr
 						if useWc && w > s.wcAt(d*invC+rem) {
 							continue
 						}
-						s.pr.rb[wi] = append(s.pr.rb[wi], dwn{d: d, w: w, next: next, sch: sch})
+						s.pr.rb[wi] = append(s.pr.rb[wi], dwn{Key: d, W: w, Ref: next, Tag: sch})
 					}
 				}
 			}

@@ -228,9 +228,10 @@ type CacheOptions struct {
 	// LengthQuantum is the grid, in meters, that segment lengths and zone
 	// bounds are snapped to when forming signatures (default 1 µm).
 	LengthQuantum float64
-	// TargetMultQuantum is retained for compatibility; the timing budget
-	// is no longer part of any signature (fronts answer every budget), so
-	// it is unused.
+	// TargetMultQuantum is ignored: the timing budget is not part of any
+	// signature, because a cached front answers every budget.
+	//
+	// Deprecated: it has no effect; leave it zero.
 	TargetMultQuantum float64
 	// TargetQuantum is the grid, in seconds, that embedded per-sink tree
 	// deadlines are snapped to when forming signatures (default 0.1 ps).

@@ -12,14 +12,14 @@ import (
 
 // Quantization defaults for cache signatures. Lengths are snapped to a
 // 1 µm grid (global wires are millimeters long, so this merges only
-// routing noise), and relative timing targets to 0.1 % slack classes.
-// Hits are always re-verified on the actual net, so coarser quanta trade
-// a little extra verification-reject work for a higher hit rate — they
-// can never change a delivered solution's correctness.
+// routing noise), and embedded tree deadlines to 0.1 ps. Uniform budgets
+// enter no signature: a cached front answers every budget. Hits are
+// always re-verified on the actual net, so coarser quanta trade a little
+// extra verification-reject work for a higher hit rate — they can never
+// change a delivered solution's correctness.
 const (
 	defaultLengthQuantum = 1 * units.Micron
-	defaultMultQuantum   = 1e-3
-	defaultTargetQuantum = 0.1 * 1e-12 // 0.1 ps for absolute targets
+	defaultTargetQuantum = 0.1 * 1e-12 // 0.1 ps for embedded tree deadlines
 )
 
 // signer builds canonical cache keys for (net, target) jobs under one
@@ -32,7 +32,6 @@ const (
 type signer struct {
 	techPrefix    string
 	lengthQuantum float64
-	multQuantum   float64
 	targetQuantum float64
 }
 
@@ -65,14 +64,10 @@ func newSigner(t *tech.Technology, opts CacheOptions) *signer {
 	s := &signer{
 		techPrefix:    b.String(),
 		lengthQuantum: opts.LengthQuantum,
-		multQuantum:   opts.TargetMultQuantum,
 		targetQuantum: opts.TargetQuantum,
 	}
 	if s.lengthQuantum <= 0 {
 		s.lengthQuantum = defaultLengthQuantum
-	}
-	if s.multQuantum <= 0 {
-		s.multQuantum = defaultMultQuantum
 	}
 	if s.targetQuantum <= 0 {
 		s.targetQuantum = defaultTargetQuantum

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
+
+	"github.com/rip-eda/rip/internal/pareto"
+	"github.com/rip-eda/rip/internal/tech"
 )
 
 // Solver runs the power-aware van Ginneken dynamic program on trees with
@@ -44,8 +46,15 @@ type Solver struct {
 	mrg    []sopt
 	kidBuf []int32
 
-	// front is the (q, w) Pareto front reused by pruning.
+	// front is the (q, w) skyline reused by pruning.
 	front []qw
+
+	// Buffer-site scratch: buckets[i] holds the options a buffer of
+	// library width i generates (all with load Co·wᵢ), heads the k-way
+	// merge cursors, sorter the bucket sort's scratch.
+	buckets [][]pareto.Rec
+	heads   []siteHead
+	sorter  pareto.Sorter
 
 	// chosen is the reconstruction scratch (the picked option index per
 	// node, filled top-down); fill is the CSR build cursor.
@@ -67,6 +76,14 @@ type sopt struct {
 }
 
 type qw struct{ q, w float64 }
+
+// siteHead is one cursor of the buffer-site merge: bucket 0 is the
+// unbuffered run, bucket i+1 library width i.
+type siteHead struct {
+	b, i int32
+	c, q float64 // the head option's load and required time
+	w    float64 // its width, 0 when widths are ignored
+}
 
 // NewSolver returns an empty Solver; arenas grow on first use.
 func NewSolver() *Solver { return &Solver{} }
@@ -236,21 +253,8 @@ func (s *Solver) sweep(t *Tree, opts Options, width bool) (Stats, error) {
 		// parent edge), mirroring the two-pin DP's per-candidate choice.
 		if node.BufferSite {
 			stats.Candidates++
-			base := len(s.cur)
-			for bi := 0; bi < base; bi++ {
-				b := s.cur[bi]
-				for wi, wb := range widths {
-					s.cur = append(s.cur, sopt{
-						c:    ts.Co * wb,
-						q:    b.q - (ts.Rs*ts.Cp + ts.Rs/wb*b.c),
-						w:    b.w + wb,
-						buf:  int32(wi),
-						kids: b.kids,
-					})
-				}
-			}
-			stats.Generated += len(s.cur) - base
-			s.cur = s.pruneS(s.cur, width)
+			stats.Generated += len(s.cur) * len(widths)
+			s.insertBuffers(ts, width)
 		}
 		stats.Kept += len(s.cur)
 		if len(s.cur) > stats.MaxPerNode {
@@ -343,9 +347,11 @@ func (s *Solver) claimKids(stride int) int32 {
 }
 
 // pruneS removes dominated options in place: o1 dominates o2 when
-// c1 ≤ c2, q1 ≥ q2 and (when width matters) w1 ≤ w2. The sort order and
-// front sweep replicate the pre-Solver pruner exactly, so results are
-// bit-identical with the reference implementation.
+// c1 ≤ c2, q1 ≥ q2 and (when width matters) w1 ≤ w2. It prunes a child
+// merge, whose loads are arbitrary sums: a sort on (c asc, q desc, w
+// asc) and the skyline filter, replicating the pre-Solver pruner exactly
+// so results are bit-identical with the reference implementation. The
+// survivors stay in that order.
 func (s *Solver) pruneS(opts []sopt, width bool) []sopt {
 	if len(opts) <= 1 {
 		return opts
@@ -365,35 +371,176 @@ func (s *Solver) pruneS(opts []sopt, width bool) []sopt {
 		}
 		return cmp.Compare(effW(a), effW(b))
 	})
-	front := s.front[:0]
+	s.front = s.front[:0]
 	kept := opts[:0]
 	for _, o := range opts {
-		// Dominated if an already-kept option (c ≤ o.c) has q ≥ o.q and
-		// w ≤ o.w. front holds the kept (q, w) skyline: q descending, w
-		// strictly decreasing as q drops.
-		ow := effW(o)
-		i := sort.Search(len(front), func(i int) bool { return front[i].q < o.q })
-		if i > 0 && front[i-1].w <= ow {
-			continue
-		}
-		kept = append(kept, o)
-		j := i
-		for j < len(front) && front[j].w >= ow {
-			j++
-		}
-		// Replace front[i:j] with the new point, in place.
-		switch {
-		case j == i:
-			front = append(front, qw{})
-			copy(front[i+1:], front[i:])
-			front[i] = qw{o.q, ow}
-		default:
-			front[i] = qw{o.q, ow}
-			front = append(front[:i+1], front[j:]...)
+		if s.admit(o.q, effW(o)) {
+			kept = append(kept, o)
 		}
 	}
-	s.front = front[:0]
 	return kept
+}
+
+// insertBuffers extends the node's unbuffered options in s.cur with a
+// buffer of every library width and prunes the union as pruneS would,
+// leaving the survivors in s.cur in (c asc, q desc, w asc) order.
+//
+// It never sorts the union. A buffer of width wᵢ gives load Co·wᵢ
+// whatever option it drives (the load-class observation the dp pruner
+// uses too), so the options width i generates form a bucket in which 3-D
+// dominance is 2-D (q desc, w asc) dominance: pareto.Sorter reduces each
+// bucket to its front, or, widths ignored, to its single max-q option.
+// The unbuffered run is already sorted by the prune that built it. The
+// runs are then k-way merged in (c, q desc, w) order through one skyline,
+// which removes exactly what the full sort and sweep would. Exact value
+// ties keep the unbuffered option, then the narrowest buffer, then the
+// earliest-generated option.
+func (s *Solver) insertBuffers(ts *tech.Technology, width bool) {
+	widths := s.widths
+	base := s.cur
+	for len(s.buckets) < len(widths) {
+		s.buckets = append(s.buckets, nil)
+	}
+	rsCp := ts.Rs * ts.Cp
+	s.heads = s.heads[:0]
+	if len(base) > 0 {
+		s.heads = append(s.heads, siteHead{})
+	}
+	for wi, wb := range widths {
+		rsOverW := ts.Rs / wb
+		b := slices.Grow(s.buckets[wi][:0], len(base))
+		for bi := range base {
+			o := &base[bi]
+			q := o.q - (rsCp + rsOverW*o.c)
+			b = append(b, pareto.Rec{Key: -q, W: o.w + wb, Ref: int32(bi)})
+		}
+		b = s.sorter.Reduce(b, width)
+		s.buckets[wi] = b
+		if len(b) > 0 {
+			s.heads = append(s.heads, siteHead{b: int32(wi + 1)})
+		}
+	}
+	for i := range s.heads {
+		s.loadHead(&s.heads[i], ts, width)
+	}
+	for i := len(s.heads)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
+
+	out := s.mrg[:0]
+	s.front = s.front[:0]
+	for len(s.heads) > 0 {
+		h := &s.heads[0]
+		if s.admit(h.q, h.w) {
+			if h.b == 0 {
+				out = append(out, base[h.i])
+			} else {
+				r := &s.buckets[h.b-1][h.i]
+				out = append(out, sopt{c: h.c, q: h.q, w: r.W, buf: h.b - 1, kids: base[r.Ref].kids})
+			}
+		}
+		n := len(base)
+		if h.b > 0 {
+			n = len(s.buckets[h.b-1])
+		}
+		h.i++
+		if int(h.i) < n {
+			s.loadHead(h, ts, width)
+		} else {
+			last := len(s.heads) - 1
+			s.heads[0] = s.heads[last]
+			s.heads = s.heads[:last]
+		}
+		s.siftDown(0)
+	}
+	s.cur, s.mrg = out, s.cur
+}
+
+// loadHead reads the option under a merge cursor into its sort fields.
+func (s *Solver) loadHead(h *siteHead, ts *tech.Technology, width bool) {
+	var w float64
+	if h.b == 0 {
+		o := &s.cur[h.i]
+		h.c, h.q, w = o.c, o.q, o.w
+	} else {
+		r := &s.buckets[h.b-1][h.i]
+		h.c, h.q, w = ts.Co*s.widths[h.b-1], -r.Key, r.W
+	}
+	h.w = 0
+	if width {
+		h.w = w
+	}
+}
+
+// headLess orders merge cursors by their head's (c asc, q desc, w asc),
+// then by bucket.
+func headLess(x, y *siteHead) bool {
+	switch {
+	case x.c != y.c:
+		return x.c < y.c
+	case x.q != y.q:
+		return x.q > y.q
+	case x.w != y.w:
+		return x.w < y.w
+	}
+	return x.b < y.b
+}
+
+// siftDown restores the merge heap property from index i.
+func (s *Solver) siftDown(i int) {
+	h := s.heads
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && headLess(&h[r], &h[l]) {
+			m = r
+		}
+		if !headLess(&h[m], &h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// admit runs one option through the skyline of the options kept so far,
+// all of which have c no larger than its own: it is dominated when a
+// kept option has q ≥ its q and w ≤ its w. front holds the kept (q, w)
+// staircase, q descending and w strictly decreasing. admit reports
+// whether the option survives, recording it in the skyline if so.
+func (s *Solver) admit(q, w float64) bool {
+	front := s.front
+	// i: the first entry with a smaller q (binary search).
+	i, hi := 0, len(front)
+	for i < hi {
+		mid := int(uint(i+hi) >> 1)
+		if front[mid].q < q {
+			hi = mid
+		} else {
+			i = mid + 1
+		}
+	}
+	if i > 0 && front[i-1].w <= w {
+		return false
+	}
+	j := i
+	for j < len(front) && front[j].w >= w {
+		j++
+	}
+	// Replace front[i:j] with the new point, in place.
+	if j == i {
+		front = append(front, qw{})
+		copy(front[i+1:], front[i:])
+		front[i] = qw{q, w}
+	} else {
+		front[i] = qw{q, w}
+		front = append(front[:i+1], front[j:]...)
+	}
+	s.front = front
+	return true
 }
 
 // grow returns buf resized to n, reallocating only when capacity is

@@ -333,3 +333,64 @@ func BenchmarkTreeHybrid(b *testing.B) {
 		}
 	}
 }
+
+// splitEdges returns a copy of t with every edge cut into k equal pieces
+// joined at buffer sites, the way a router offers a site every few
+// hundred microns.
+func splitEdges(tb testing.TB, t *Tree, k int) *Tree {
+	tb.Helper()
+	c := t.Clone()
+	nextID := 0
+	for _, n := range c.nodes {
+		nextID = max(nextID, n.ID+1)
+	}
+	for _, n := range c.nodes {
+		for ci, child := range n.Children {
+			r, cap := child.EdgeR/float64(k), child.EdgeC/float64(k)
+			child.EdgeR, child.EdgeC = r, cap
+			top := child
+			for i := 1; i < k; i++ {
+				top = &Node{ID: nextID, EdgeR: r, EdgeC: cap, Children: []*Node{top}, BufferSite: true}
+				nextID++
+			}
+			n.Children[ci] = top
+		}
+	}
+	out, err := New(c.Root)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// BenchmarkTreeSolver_BufferSites measures a tree DP dominated by buffer
+// sites: the 16-sink tree with every edge cut into four site-joined
+// pieces (about 120 sites), solved width-aware on the 40-width library
+// 10–400.
+func BenchmarkTreeSolver_BufferSites(b *testing.B) {
+	ts := tech.T180()
+	cfg, err := DefaultGenConfig(ts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Sinks = 8
+	tr, err := Generate(rand.New(rand.NewSource(2005)), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr = splitEdges(b, tr, 3)
+	l, err := repeater.Range(10, 400, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Library: l, Tech: ts, DriverWidth: 240}
+	s := NewSolver()
+	var sol Solution
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.InsertInto(&sol, tr, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
