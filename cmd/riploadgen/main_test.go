@@ -71,7 +71,9 @@ func TestPostClassification(t *testing.T) {
 		{"success cache hit", http.StatusOK, `{"feasible":true,"cache_hit":true}`, true, ""},
 		{"enveloped error", http.StatusBadRequest,
 			`{"error":{"code":"bad_request","message":"no"},"error_message":"no"}`, false, "bad_request"},
-		{"legacy message only", http.StatusOK, `{"error_message":"solver blew up"}`, false, api.CodeSolveFailed},
+		// A pre-envelope body: "error" was a bare string, which the
+		// envelope decoder classifies as solve_failed.
+		{"legacy message only", http.StatusOK, `{"error":"solver blew up"}`, false, api.CodeSolveFailed},
 		{"non-2xx html page", http.StatusBadGateway, `<html>502</html>`, false, "transport"},
 		{"non-2xx empty json", http.StatusServiceUnavailable, `{}`, false, "transport"},
 		{"non-2xx enveloped keeps its code", http.StatusTooManyRequests,

@@ -98,12 +98,6 @@ func BenchmarkSolveLadder(b *testing.B) {
 	benchmarkSolve(b, 10, MinPower, func(o *Options) { o.Ladder = true })
 }
 
-// BenchmarkSolveEps measures the relaxed mode the engine serves when a
-// request opts in: ladder plus ε-dominance at the recommended DefaultEps.
-func BenchmarkSolveEps(b *testing.B) {
-	benchmarkSolve(b, 10, MinPower, func(o *Options) { o.Ladder = true; o.Eps = DefaultEps })
-}
-
 // BenchmarkSolveCoupled_g10 measures the crosstalk-aware kernel the
 // engine runs for coupled requests: worst-case aggressors, staggering on
 // the menu, min-power at 1.3× the coupled τmin through the production

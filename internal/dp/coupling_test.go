@@ -12,6 +12,10 @@ import (
 	"github.com/rip-eda/rip/internal/wire"
 )
 
+// fpSlack absorbs accumulated float rounding when checking bounds that
+// are proved in real arithmetic.
+const fpSlack = 1e-9
+
 // couplingScenarios enumerates every (aggressor, mode) pair a coupled
 // solve accepts.
 func couplingScenarios(t *testing.T) []*delay.Coupling {

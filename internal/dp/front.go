@@ -107,32 +107,21 @@ func cmpRoot(a, b frontRoot) int {
 // SolveFront runs one unbounded width-aware DP sweep and extracts the
 // complete root Pareto front. Options.Objective and Target are ignored:
 // the sweep is always 3-D (width-aware) and unbounded, so the returned
-// Front answers every budget. In exact mode (Eps == 0), for any target T,
-// Front.At(T) selects an assignment with the identical delay and total
-// width a bounded MinPower solve at Target=T over the same Options would
-// pick, because the bounded run's surviving options are exactly the
-// unbounded run's filtered to delay ≤ T.
-//
-// With Eps > 0 the front is ε-relaxed: every point's Delay and TotalWidth
-// are still exact properties of a real, feasible assignment, but the
-// curve may skip points — certified so that for every exact front point
-// (D, W) the relaxed front holds a point with Delay ≤ D·φ and
-// TotalWidth ≤ W, where φ = Stats.EpsFactor(Eps) ≤ 1+Eps is the delay
-// inflation the run actually realized. Front.At(T) therefore never
-// returns a width above the exact optimum at T/φ.
+// Front answers every budget. For any target T, Front.At(T) selects an
+// assignment with the identical delay and total width a bounded MinPower
+// solve at Target=T over the same Options would pick, because the
+// bounded run's surviving options are exactly the unbounded run's
+// filtered to delay ≤ T.
 func (s *Solver) SolveFront(ev *delay.Evaluator, opts Options) (Front, Stats, error) {
 	if opts.Library.Size() == 0 {
 		return nil, Stats{}, errors.New("dp: empty repeater library")
-	}
-	if !validEps(opts.Eps) {
-		return nil, Stats{}, fmt.Errorf("dp: eps must be in [0, %g], got %g", MaxEps, opts.Eps)
 	}
 	n, err := s.prepare(ev, opts, nil)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	stats := Stats{Candidates: n}
-	s.configureSweep(opts, true)
+	s.configureSweep(opts)
 	if opts.Ladder && len(s.widths) >= 2*ladderStride {
 		if err := s.ladderFront(ev, opts, &stats); err != nil {
 			return nil, stats, err
@@ -141,7 +130,6 @@ func (s *Solver) SolveFront(ev *delay.Evaluator, opts Options) (Front, Stats, er
 		s.sw.useWc = true
 	}
 	ok, err := s.runLevels(ev, opts, math.Inf(1), true, &stats)
-	s.fillEpsStats(&stats)
 	if err != nil || !ok {
 		return nil, stats, err
 	}
@@ -231,11 +219,10 @@ func (s *Solver) SolveFront(ev *delay.Evaluator, opts Options) (Front, Stats, er
 // unbounded front solve on every ladderStride-th width, keeping only the
 // (delay, width) skyline. The fine pass kills any option whose width a
 // complete coarse solution already undercuts at a delay none of the
-// option's completions can beat (d·invC + minRem[k]); the coarse chains
+// option's completions can beat (d + minRem[k]); the coarse chains
 // themselves survive those kills (width-minimal killers are never
-// killed), so the exact fine front's point values are unchanged and the
-// ε fine front keeps its certified bound. Coarse work counters fold into
-// stats so MaxGenerated caps the combined work.
+// killed), so the fine front's point values are unchanged. Coarse work
+// counters fold into stats so MaxGenerated caps the combined work.
 func (s *Solver) ladderFront(ev *delay.Evaluator, opts Options, stats *Stats) error {
 	s.ladWidths = s.ladWidths[:0]
 	for i := 0; i < len(s.widths); i += ladderStride {
@@ -246,7 +233,6 @@ func (s *Solver) ladderFront(ev *delay.Evaluator, opts Options, stats *Stats) er
 	}
 	copts := opts
 	copts.Ladder = false
-	copts.Eps = 0
 	copts.Positions = s.cand
 	var cst Stats
 	var err error
@@ -276,7 +262,7 @@ func (s *Solver) solveFrontDW(ev *delay.Evaluator, opts Options, lib []float64, 
 		return outD, outW, Stats{}, err
 	}
 	stats := Stats{Candidates: n}
-	s.configureSweep(opts, true)
+	s.configureSweep(opts)
 	ok, err := s.runLevels(ev, opts, math.Inf(1), true, &stats)
 	if err != nil || !ok {
 		return outD, outW, stats, err

@@ -113,8 +113,8 @@ func TestRequestTimeoutPropagation(t *testing.T) {
 	if rr.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rr.Code, rr.Body.String())
 	}
-	if resp := decodeResponse(t, rr); !strings.Contains(resp.Error, "deadline exceeded") {
-		t.Fatalf("error %q should surface the deadline", resp.Error)
+	if resp := decodeResponse(t, rr); resp.Err == nil || !strings.Contains(resp.Err.Message, "deadline exceeded") {
+		t.Fatalf("error %+v should surface the deadline", resp.Err)
 	}
 
 	// Batch routes isolate the timeout per net: the request succeeds,

@@ -45,11 +45,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 			if resp.Err == nil || resp.Err.Code != tc.code {
 				t.Fatalf("envelope %+v, want code %q", resp.Err, tc.code)
 			}
-			// The legacy string field must carry the same message for one
-			// release of backward compatibility.
-			if resp.Error != resp.Err.Message {
-				t.Fatalf("legacy error_message %q diverges from envelope %q", resp.Error, resp.Err.Message)
-			}
+			noLegacyKey(t, rr.Body.Bytes())
 		})
 	}
 
@@ -65,6 +61,21 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	if fr.Err == nil || fr.Err.Code != api.CodeUnsupportedVersion {
 		t.Fatalf("front envelope %+v, want code %q", fr.Err, api.CodeUnsupportedVersion)
 	}
+	noLegacyKey(t, rr.Body.Bytes())
+
+	// So does the bus endpoint.
+	rr = post(t, s, "/v1/bus", []byte(`{"tracks":[]}`))
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("bus status %d, want 400", rr.Code)
+	}
+	var br api.BusResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &br); err != nil {
+		t.Fatal(err)
+	}
+	if br.Err == nil || br.Err.Code != api.CodeBadRequest {
+		t.Fatalf("bus envelope %+v, want code %q", br.Err, api.CodeBadRequest)
+	}
+	noLegacyKey(t, rr.Body.Bytes())
 
 	// Draining: refusals carry the draining code and Retry-After.
 	s.BeginShutdown()
@@ -81,6 +92,17 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	}
 	if rr.Header().Get("Retry-After") == "" {
 		t.Fatal("a draining 503 must carry Retry-After")
+	}
+	noLegacyKey(t, rr.Body.Bytes())
+}
+
+// noLegacyKey fails when a body still carries the retired pre-envelope
+// "error_message" key: the envelope's code and message are the only
+// error surface.
+func noLegacyKey(t *testing.T, body []byte) {
+	t.Helper()
+	if bytes.Contains(body, []byte(`"error_message"`)) {
+		t.Fatalf("body carries the retired error_message key: %s", body)
 	}
 }
 
@@ -114,6 +136,7 @@ func TestBatchLinesCarryEnvelope(t *testing.T) {
 	if second.Err == nil || second.Err.Code != api.CodeUnknownTech {
 		t.Fatalf("bad line envelope %+v, want code %q", second.Err, api.CodeUnknownTech)
 	}
+	noLegacyKey(t, rr.Body.Bytes())
 }
 
 // TestLivezReadyzSplit: /livez is process liveness (200 even while

@@ -81,11 +81,6 @@ type Options struct {
 	// DefaultTargetMult is applied to requests that carry no budget of
 	// their own (default 0: such requests fail per-net).
 	DefaultTargetMult float64
-	// DefaultEps is the ε relaxation applied to line requests that carry
-	// no "eps" of their own (default 0: bit-exact solving). An explicit
-	// "eps": 0 in a request always forces exact mode. /v1/front is not
-	// defaulted — curve queries stay exact unless the request opts in.
-	DefaultEps float64
 	// DefaultAggressor / DefaultScheme are the crosstalk scenario applied
 	// to line requests that carry no "aggressor" of their own (default "":
 	// the classic ground-only model). An explicit "aggressor": "none" in a
@@ -305,7 +300,6 @@ func (s *Server) decodeSingle(w http.ResponseWriter, r *http.Request, front bool
 	validate := req.ValidateFront
 	if !front {
 		req.ApplyDefault(s.opts.DefaultTargetMult, 0)
-		req.ApplyDefaultEps(s.opts.DefaultEps)
 		req.ApplyDefaultCoupling(s.opts.DefaultAggressor, s.opts.DefaultScheme)
 		validate = req.Validate
 	}
@@ -491,7 +485,6 @@ func (s *Server) batchArray(ctx context.Context, w http.ResponseWriter, br *bufi
 			continue // zero job: the engine reports it as a nil-net failure
 		}
 		req.ApplyDefault(s.opts.DefaultTargetMult, 0)
-		req.ApplyDefaultEps(s.opts.DefaultEps)
 		req.ApplyDefaultCoupling(s.opts.DefaultAggressor, s.opts.DefaultScheme)
 		jobs[i] = req.Job()
 	}
@@ -545,7 +538,6 @@ func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufi
 		defer close(jobs)
 		fed, err := api.FeedJSONL(ctx, br, api.FeedOptions{
 			DefaultMult:      s.opts.DefaultTargetMult,
-			DefaultEps:       s.opts.DefaultEps,
 			DefaultAggressor: s.opts.DefaultAggressor,
 			DefaultScheme:    s.opts.DefaultScheme,
 		}, jobs, note)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -109,8 +110,8 @@ func TestOptimize(t *testing.T) {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
 	resp := decodeResponse(t, rr)
-	if resp.Error != "" {
-		t.Fatalf("unexpected error: %s", resp.Error)
+	if resp.Err != nil {
+		t.Fatalf("unexpected error: %+v", resp.Err)
 	}
 	if !resp.Feasible {
 		t.Fatal("corpus net at 1.3×τmin should be feasible")
@@ -179,8 +180,8 @@ func TestBatchArray(t *testing.T) {
 		t.Fatalf("%d responses for %d elements", len(resps), len(elems))
 	}
 	for i, want := range []bool{false, false, true, false} {
-		if got := resps[i].Error != ""; got != want {
-			t.Fatalf("element %d: error=%q, want error=%v", i, resps[i].Error, want)
+		if got := resps[i].Err != nil; got != want {
+			t.Fatalf("element %d: error=%+v, want error=%v", i, resps[i].Err, want)
 		}
 	}
 	if !resps[1].Feasible {
@@ -241,14 +242,14 @@ func TestBatchJSONL(t *testing.T) {
 		t.Fatalf("%d response lines, want 5", len(resps))
 	}
 	for i := 0; i < 3; i++ {
-		if resps[i].Net != nets[i].Name || resps[i].Error != "" || !resps[i].Feasible {
+		if resps[i].Net != nets[i].Name || resps[i].Err != nil || !resps[i].Feasible {
 			t.Fatalf("line %d: %+v", i, resps[i])
 		}
 	}
-	if !strings.Contains(resps[3].Error, "line 4") {
-		t.Fatalf("parse failure should name its line: %q", resps[3].Error)
+	if resps[3].Err == nil || !strings.Contains(resps[3].Err.Message, "line 4") {
+		t.Fatalf("parse failure should name its line: %+v", resps[3].Err)
 	}
-	if resps[4].Error != "" || !resps[4].CacheHit {
+	if resps[4].Err != nil || !resps[4].CacheHit {
 		t.Fatalf("final repeat should be a cache hit: %+v", resps[4])
 	}
 }
@@ -354,104 +355,96 @@ func TestEmptyBatchBody(t *testing.T) {
 	}
 }
 
-// TestOptimizeEps: a request's "eps" is solved relaxed with attribution
-// echoed on the wire; an out-of-range eps is a 400 with the bad_request
-// envelope; the server-wide default applies only to requests that carry
-// no eps of their own, with an explicit 0 staying exact; and the ε
-// metrics series appear on /metrics.
+// TestOptimizeEps: ε-relaxed solving was removed, so a non-zero "eps"
+// on /v1/optimize is a 400 bad_request whose message names the removal,
+// while "eps": 0 (and −0) is answered byte for byte like the same
+// request without the field.
 func TestOptimizeEps(t *testing.T) {
-	s, eng := newTestServer(t, 1, Options{DefaultEps: 0.02})
+	checkEpsRoute(t, "/v1/optimize", 1.3)
+}
+
+// TestFrontEps: /v1/front treats "eps" exactly like /v1/optimize.
+func TestFrontEps(t *testing.T) {
+	checkEpsRoute(t, "/v1/front", 0)
+}
+
+// checkEpsRoute posts one net to path with "eps": 0.02, 0 and −0 and
+// without the field. Each zero-eps body goes to a fresh server next to
+// a fresh server answering the bare request, so both answers are cold
+// solves and their bytes are comparable.
+func checkEpsRoute(t *testing.T, path string, mult float64) {
+	t.Helper()
 	net := corpus(t, 17, 1)[0]
 	eps := func(v float64) *float64 { return &v }
 
-	// Explicit eps on the request.
-	rr := post(t, s, "/v1/optimize", mustMarshal(t, api.Request{Net: net, TargetMult: 1.3, Eps: eps(0.1)}))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	resp := decodeResponse(t, rr)
-	if !resp.Feasible || resp.Eps != 0.1 {
-		t.Fatalf("eps echo: feasible=%v eps=%g", resp.Feasible, resp.Eps)
-	}
-	if resp.EpsBound == nil {
-		t.Fatal("ε answer dropped eps_bound (a certified 0 must still be emitted)")
-	}
-	if b := *resp.EpsBound; b < 0 || b > 1 {
-		t.Fatalf("eps_bound %g outside [0,1]", b)
-	}
-	if resp.DelayNS > resp.TargetNS*(1+1e-12) {
-		t.Fatalf("ε answer misses budget: %g > %g", resp.DelayNS, resp.TargetNS)
-	}
-
-	// No eps: the server default (0.02) applies.
-	rr = post(t, s, "/v1/optimize", mustMarshal(t, api.Request{Net: net, TargetMult: 1.3}))
-	if resp = decodeResponse(t, rr); resp.Eps != 0.02 {
-		t.Fatalf("default eps not applied: %g", resp.Eps)
-	}
-
-	// Explicit zero beats the default.
-	rr = post(t, s, "/v1/optimize", mustMarshal(t, api.Request{Net: net, TargetMult: 1.3, Eps: eps(0)}))
-	if resp = decodeResponse(t, rr); resp.Eps != 0 {
-		t.Fatalf("explicit eps=0 overridden: %g", resp.Eps)
-	}
-	if resp.EpsBound != nil {
-		t.Fatalf("exact answer carries eps_bound %g", *resp.EpsBound)
-	}
-
-	// Out of range is a 400 before solving.
-	rr = post(t, s, "/v1/optimize", mustMarshal(t, api.Request{Net: net, TargetMult: 1.3, Eps: eps(0.9)}))
+	s, _ := newTestServer(t, 1, Options{})
+	rr := post(t, s, path, mustMarshal(t, api.Request{Net: net, TargetMult: mult, Eps: eps(0.02)}))
 	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("eps=0.9: status %d, want 400 (%s)", rr.Code, rr.Body.String())
+		t.Fatalf("eps=0.02: status %d, want 400 (%s)", rr.Code, rr.Body.String())
 	}
-	if resp = decodeResponse(t, rr); resp.Err == nil || resp.Err.Code != api.CodeBadRequest {
-		t.Fatalf("eps=0.9 envelope: %+v", resp.Err)
+	var resp api.Response
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err == nil || resp.Err.Code != api.CodeBadRequest || !strings.Contains(resp.Err.Message, "removed") {
+		t.Fatalf("eps=0.02 envelope %+v, want bad_request naming the removal", resp.Err)
 	}
 
-	// The ε counters moved, and /metrics renders their series.
-	if st := techEngine(t, eng, "180nm").EpsStats(); st.Solves == 0 || st.Answers == 0 {
-		t.Fatalf("ε stats did not move: %+v", st)
-	}
-	body := get(t, s, "/metrics").Body.String()
-	for _, series := range []string{
-		"rip_dp_eps_solves_total", "rip_dp_eps_pruned_total",
-		"rip_dp_eps_answers_total", "rip_dp_eps_bound_bucket",
-	} {
-		if !strings.Contains(body, series) {
-			t.Fatalf("metrics missing %s", series)
+	bare := mustMarshal(t, api.Request{Net: net, TargetMult: mult})
+	for _, zero := range []float64{0, math.Copysign(0, -1)} {
+		body := mustMarshal(t, api.Request{Net: net, TargetMult: mult, Eps: eps(zero)})
+		if !bytes.Contains(body, []byte(`"eps":`)) {
+			t.Fatalf("request body carries no eps: %s", body)
+		}
+		sz, _ := newTestServer(t, 1, Options{})
+		sb, _ := newTestServer(t, 1, Options{})
+		got := post(t, sz, path, body)
+		want := post(t, sb, path, bare)
+		if got.Code != http.StatusOK || want.Code != http.StatusOK {
+			t.Fatalf("eps=%g: status %d and %d without eps: %s", zero, got.Code, want.Code, got.Body.String())
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("eps=%g answer differs from the answer without eps:\n%s\n%s", zero, got.Body.Bytes(), want.Body.Bytes())
 		}
 	}
 }
 
-// TestFrontEps: /v1/front honors an explicit request eps (echoed on the
-// response) but never inherits the server default — curve queries stay
-// exact unless the client opts in.
-func TestFrontEps(t *testing.T) {
-	s, _ := newTestServer(t, 1, Options{DefaultEps: 0.02})
-	net := corpus(t, 19, 1)[0]
-	eps := func(v float64) *float64 { return &v }
-
-	rr := post(t, s, "/v1/front", mustMarshal(t, api.Request{Net: net}))
+// TestBatchEpsLine: in a JSONL batch a line with a non-zero "eps" is a
+// per-line bad_request; the lines around it are still answered, in
+// input order.
+func TestBatchEpsLine(t *testing.T) {
+	s, _ := newTestServer(t, 1, Options{})
+	nets := corpus(t, 23, 3)
+	eps := 0.02
+	var body []byte
+	for i, n := range nets {
+		req := api.Request{Net: n, TargetMult: 1.3}
+		if i == 1 {
+			req.Eps = &eps
+		}
+		body = append(append(body, mustMarshal(t, req)...), '\n')
+	}
+	rr := post(t, s, "/v1/batch", body)
 	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+		t.Fatalf("batch status %d: %s", rr.Code, rr.Body.Bytes())
 	}
-	var fr api.FrontResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &fr); err != nil {
-		t.Fatal(err)
+	lines := bytes.Split(bytes.TrimSpace(rr.Body.Bytes()), []byte("\n"))
+	if len(lines) != len(nets) {
+		t.Fatalf("%d lines, want %d: %s", len(lines), len(nets), rr.Body.Bytes())
 	}
-	if fr.Eps != 0 {
-		t.Fatalf("front inherited the server default eps: %g", fr.Eps)
-	}
-
-	rr = post(t, s, "/v1/front", mustMarshal(t, api.Request{Net: net, Eps: eps(0.1)}))
-	if err := json.Unmarshal(rr.Body.Bytes(), &fr); err != nil {
-		t.Fatal(err)
-	}
-	if fr.Eps != 0.1 || len(fr.Points) == 0 {
-		t.Fatalf("ε front: eps=%g points=%d", fr.Eps, len(fr.Points))
-	}
-
-	rr = post(t, s, "/v1/front", mustMarshal(t, api.Request{Net: net, Eps: eps(-1)}))
-	if rr.Code != http.StatusBadRequest {
-		t.Fatalf("front eps=-1: status %d, want 400", rr.Code)
+	for i, line := range lines {
+		var resp api.Response
+		if err := json.Unmarshal(line, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if resp.Err == nil || resp.Err.Code != api.CodeBadRequest || !strings.Contains(resp.Err.Message, "removed") {
+				t.Fatalf("eps line envelope %+v, want bad_request naming the removal", resp.Err)
+			}
+			continue
+		}
+		if resp.Err != nil || !resp.Feasible || resp.Net != nets[i].Name {
+			t.Fatalf("line %d: net %q feasible=%v err=%+v, want %q answered", i, resp.Net, resp.Feasible, resp.Err, nets[i].Name)
+		}
 	}
 }
