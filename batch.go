@@ -1,6 +1,7 @@
 package rip
 
 import (
+	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/engine"
 )
 
@@ -52,7 +53,17 @@ type (
 	BusTrack = engine.BusTrack
 	// BusStats snapshots the engine's bus co-optimization counters.
 	BusStats = engine.BusStats
+	// Scenario is the crosstalk scenario a line BatchJob is solved under
+	// (BatchJob.Scenario). The zero value is the classic uncoupled model;
+	// ParseScenario builds the others.
+	Scenario = delay.Scenario
 )
+
+// ParseScenario builds a crosstalk scenario from the tokens ripd's
+// "aggressor", "scheme" and "mf" request fields take.
+func ParseScenario(aggressor, scheme string, mf *float64) (Scenario, error) {
+	return delay.ParseScenario(aggressor, scheme, mf)
+}
 
 // NewEngine builds a batch optimizer for the technology node. The zero
 // EngineOptions means GOMAXPROCS workers, the paper's §6 pipeline

@@ -277,8 +277,12 @@ func batchJobs(kind string, distinct, total int) ([]rip.BatchJob, error) {
 		if err != nil {
 			return nil, err
 		}
+		sc, err := rip.ParseScenario("worst", "staggered", nil)
+		if err != nil {
+			return nil, err
+		}
 		for i := range jobs {
-			jobs[i] = rip.BatchJob{Net: nets[i%distinct], TargetMult: 1.3, Aggressor: "worst", Scheme: "staggered"}
+			jobs[i] = rip.BatchJob{Net: nets[i%distinct], TargetMult: 1.3, Scenario: sc}
 		}
 	case "tree":
 		nets, err := rip.GenerateTreeNets(tech, 2005, distinct)

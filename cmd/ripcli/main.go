@@ -37,9 +37,10 @@
 // (worst, best or quiet; requires a node with a coupling model), and
 // -scheme selects which per-interval countermeasures the solver may
 // deploy: plain (none), staggered, shielded or auto (both). The flags
-// apply to the engine-backed modes (-batch as the default for lines
-// that carry no "aggressor" of their own — an explicit "aggressor":
-// "none" stays classic — plus -front and -targets-ns).
+// apply to the engine-backed modes: -front, -targets-ns, and -batch,
+// where they are the default for lines that carry neither "aggressor"
+// nor "mf" (a line's own "scheme" still wins; an explicit "aggressor":
+// "none" stays classic), exactly as ripd applies its default.
 //
 // Bus mode (-bus, line nets only) reads one api.BusRequest JSON object
 // per line — a group of parallel tracks in physical adjacency order
@@ -64,11 +65,11 @@
 // custom JSON nodes). Each output line reports the node it was solved
 // under.
 // Nets are never all held in memory, so chip-scale inputs stream through
-// a bounded window. A net that fails (parse error, missing target,
-// solver error, or a non-zero "eps": every answer is exact, so only
-// "eps": 0 is accepted) gets an "error" field in its output line and
-// the stream continues; the exit status is non-zero when any net
-// failed.
+// a bounded window. A net that fails (parse error, malformed crosstalk
+// scenario, missing target, solver error, or a non-zero "eps": every
+// answer is exact, so only "eps": 0 is accepted) gets an "error" field
+// in its output line — naming the net when the line decoded — and the
+// stream continues; the exit status is non-zero when any net failed.
 package main
 
 import (
@@ -88,7 +89,6 @@ import (
 
 	rip "github.com/rip-eda/rip"
 	"github.com/rip-eda/rip/internal/api"
-	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/report"
 	"github.com/rip-eda/rip/internal/units"
 	"github.com/rip-eda/rip/internal/wire"
@@ -107,8 +107,6 @@ func main() {
 		relT      = flag.Float64("target", 0, "timing target as a multiple of τmin")
 		absT      = flag.Float64("target-ns", 0, "timing target in nanoseconds")
 		targetsNS = flag.String("targets-ns", "", "comma-separated absolute targets in ns: answer every budget from one Pareto-front solve")
-		aggressor = flag.String("aggressor", "", "crosstalk aggressor assumption for line nets: worst, best, quiet or none (empty = classic ground-only model); applies to -batch, -front and -targets-ns")
-		scheme    = flag.String("scheme", "", "crosstalk countermeasures a coupled solve may deploy: plain, staggered, shielded or auto (needs -aggressor)")
 		frontOut  = flag.Bool("front", false, "print the net's full power–delay Pareto front instead of solving one budget")
 		metrics   = flag.Bool("metrics", false, "also report the two-moment (D2M) delay of the solution")
 		jsonOut   = flag.Bool("json", false, "emit the solution as JSON instead of text")
@@ -120,6 +118,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "batch parallelism (0 = all cores)")
 		cacheSize = flag.Int("cache", 0, "batch solution-cache capacity (0 = default 4096, negative = disabled)")
 	)
+	scenarioFlags := api.ScenarioFlags(flag.CommandLine)
 	flag.Parse()
 
 	reg := rip.BuiltinTechRegistry()
@@ -132,24 +131,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	agg, err := delay.ParseAggressor(*aggressor)
+	scenario, err := scenarioFlags()
 	if err != nil {
 		fatal(err)
 	}
-	if _, err := delay.ParseSchemeMode(*scheme); err != nil {
-		fatal(err)
-	}
-	if agg == delay.AggressorNone && *scheme != "" {
-		fatal(fmt.Errorf("-scheme %q needs -aggressor worst, best or quiet", *scheme))
-	}
-	if agg != delay.AggressorNone {
-		switch {
-		case *treeMode && !*batch:
-			fatal(fmt.Errorf("-aggressor is only supported for line nets"))
-		case !*batch && !*frontOut && *targetsNS == "":
-			fatal(fmt.Errorf("-aggressor applies to the engine-backed modes: -batch, -front or -targets-ns"))
-		}
-	}
+	coupled := scenario != rip.Scenario{}
 	if *busMode {
 		switch {
 		case *treeMode:
@@ -158,7 +144,7 @@ func main() {
 			fatal(fmt.Errorf("-bus is its own streaming mode; it cannot combine with -batch, -front or -targets-ns"))
 		case *gen:
 			fatal(fmt.Errorf("-bus reads generated groups from netgen -bus; -gen is not supported"))
-		case agg != delay.AggressorNone || *scheme != "":
+		case coupled:
 			fatal(fmt.Errorf("-aggressor/-scheme do not apply to -bus: the co-optimizer decides each track's scheme"))
 		}
 		if err := runBus(reg, *techName, *netFile, *relT, *absT, *busMethod, *workers, *cacheSize, *jsonOut); err != nil {
@@ -166,11 +152,19 @@ func main() {
 		}
 		return
 	}
+	if coupled {
+		switch {
+		case *treeMode && !*batch:
+			fatal(fmt.Errorf("-aggressor is only supported for line nets"))
+		case !*batch && !*frontOut && *targetsNS == "":
+			fatal(fmt.Errorf("-aggressor applies to the engine-backed modes: -batch, -front or -targets-ns"))
+		}
+	}
 	if *frontOut || *targetsNS != "" {
 		if *batch {
 			fatal(fmt.Errorf("-front and -targets-ns are single-net modes; batch lines carry a per-line targets_ns list instead"))
 		}
-		if err := runFrontSweep(tech, *netFile, *index, *gen, *seed, *treeMode, *frontOut, *targetsNS, *aggressor, *scheme, *jsonOut); err != nil {
+		if err := runFrontSweep(tech, *netFile, *index, *gen, *seed, *treeMode, *frontOut, *targetsNS, scenario, *jsonOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -180,7 +174,7 @@ func main() {
 		if *treeMode {
 			bare = api.KindTree
 		}
-		if err := runBatch(reg, *techName, *netFile, *relT, *absT, *aggressor, *scheme, *workers, *cacheSize, bare); err != nil {
+		if err := runBatch(reg, *techName, *netFile, *relT, *absT, scenario, *workers, *cacheSize, bare); err != nil {
 			fatal(err)
 		}
 		return
@@ -372,7 +366,7 @@ func runTree(tech *rip.Technology, path string, gen bool, seed int64, relT, absT
 // of absolute budgets from one solve of that front. Both go through the
 // batch engine so the output is exactly what cached multi-budget batches
 // and ripd's /v1/front serve.
-func runFrontSweep(tech *rip.Technology, path string, index int, gen bool, seed int64, treeMode, front bool, targetsNS, aggressor, scheme string, jsonOut bool) error {
+func runFrontSweep(tech *rip.Technology, path string, index int, gen bool, seed int64, treeMode, front bool, targetsNS string, scenario rip.Scenario, jsonOut bool) error {
 	eng, err := rip.NewEngine(tech, rip.EngineOptions{})
 	if err != nil {
 		return err
@@ -390,8 +384,7 @@ func runFrontSweep(tech *rip.Technology, path string, index int, gen bool, seed 
 			return err
 		}
 		j.Net = n
-		j.Aggressor = aggressor
-		j.Scheme = scheme
+		j.Scenario = scenario
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -564,7 +557,7 @@ func emitJSON(net *rip.Net, sol rip.Solution, target float64) {
 // internal/api's Request/Response — the same wire format cmd/ripd
 // serves, so batch files replay against the HTTP service as-is,
 // mixed-node corpora included.
-func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT float64, aggressor, scheme string, workers, cacheSize int, bare api.Kind) error {
+func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT float64, scenario rip.Scenario, workers, cacheSize int, bare api.Kind) error {
 	in := os.Stdin
 	if path != "" && path != "-" {
 		f, err := os.Open(path)
@@ -592,13 +585,13 @@ func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT float6
 	// error. Guarded: the feeder goroutine writes while the result loop
 	// reads.
 	var mu sync.Mutex
-	parseErrs := make(map[int]string)
+	parseErrs := make(map[int]api.Response)
 	var readErr error
 	go func() {
 		defer close(jobs)
-		readErr = feedBatch(in, relT, absT, aggressor, scheme, bare, jobs, func(idx int, msg string) {
+		readErr = feedBatch(in, relT, absT, scenario, bare, jobs, func(idx int, fail api.Response) {
 			mu.Lock()
-			parseErrs[idx] = msg
+			parseErrs[idx] = fail
 			mu.Unlock()
 		})
 	}()
@@ -611,10 +604,10 @@ func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT float6
 	for r := range results {
 		line := api.FromResult(r)
 		mu.Lock()
-		if msg, ok := parseErrs[r.Index]; ok {
-			// An unparsed line carries only its failure — no default-node
+		if fail, ok := parseErrs[r.Index]; ok {
+			// A refused line carries only its failure — no default-node
 			// tech attribution (same rule as ripd's /v1/batch).
-			line = api.CodedErrorResponse(api.CodeBadRequest, "", "", msg)
+			line = fail
 		}
 		mu.Unlock()
 		switch {
@@ -651,24 +644,21 @@ func runBatch(reg *rip.TechRegistry, defaultTech, path string, relT, absT float6
 // parse is reported via noteErr and emitted as a nil-net job, so the
 // failure surfaces in the output stream at the right position instead
 // of killing the run.
-func feedBatch(in io.Reader, relT, absT float64, aggressor, scheme string, bare api.Kind, jobs chan<- rip.BatchJob, noteErr func(int, string)) error {
+func feedBatch(in io.Reader, relT, absT float64, scenario rip.Scenario, bare api.Kind, jobs chan<- rip.BatchJob, noteErr func(int, api.Response)) error {
 	if relT > 0 && absT > 0 {
 		return fmt.Errorf("give either -target or -target-ns, not both")
 	}
 	opts := api.FeedOptions{
-		DefaultMult:      relT,
-		DefaultNS:        absT,
-		DefaultAggressor: aggressor,
-		DefaultScheme:    scheme,
-		Bare:             bare,
+		DefaultMult:     relT,
+		DefaultNS:       absT,
+		DefaultScenario: scenario,
+		Bare:            bare,
 		// An explicit -target/-target-ns means what it means in single
 		// mode: it overrides embedded tree deadlines too. Per-line
 		// wrapper budgets still win.
 		ForceDefault: relT > 0 || absT > 0,
 	}
-	_, err := api.FeedJSONL(context.Background(), in, opts, jobs, func(idx int, msg string) {
-		noteErr(idx, msg+" (batch input is JSONL — one net per line, not a JSON array)")
-	})
+	_, err := api.FeedJSONL(context.Background(), in, opts, jobs, noteErr)
 	return err
 }
 

@@ -37,12 +37,14 @@
 //	                    {tech="..."} and rip_cluster_*/rip_snapshot_*
 //	                    series)
 //
-// With -aggressor, line requests that carry no "aggressor" of their
-// own are solved under that crosstalk scenario (-scheme picks which
-// countermeasures the solver may deploy; see internal/delay). A
-// request's explicit "aggressor": "none" always forces the classic
-// ground-only model, and /v1/front never inherits the defaults.
-// Coupled and uncoupled solves cache separately.
+// With -aggressor, line requests that carry neither "aggressor" nor
+// "mf" are solved under that crosstalk scenario (-scheme picks which
+// countermeasures the solver may deploy, unless the request names its
+// own "scheme"; see delay.Scenario). A request's explicit "aggressor":
+// "none" always forces the classic ground-only model, and /v1/front
+// never inherits the default. A malformed scenario is a bad_request with
+// the same message on every endpoint. Coupled and uncoupled solves cache
+// separately.
 //
 // Every answer is exact. A request may still carry "eps": 0, which is
 // answered as if the field were absent; any other "eps" is a
@@ -86,8 +88,8 @@ import (
 	"time"
 
 	rip "github.com/rip-eda/rip"
+	"github.com/rip-eda/rip/internal/api"
 	"github.com/rip-eda/rip/internal/cluster"
-	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/server"
 	"github.com/rip-eda/rip/internal/snapshot"
 )
@@ -103,8 +105,6 @@ func main() {
 		maxInFlight = flag.Int("max-inflight", 0, "concurrent requests admitted before 429 (0 = 4x workers)")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "per-request solving timeout (0 = none)")
 		target      = flag.Float64("target", 0, "default target_mult for requests that carry no budget (0 = require one per request)")
-		defaultAgg  = flag.String("aggressor", "", "default crosstalk aggressor for line requests that carry no \"aggressor\": worst, best, quiet or none (empty = classic ground-only model)")
-		defaultSch  = flag.String("scheme", "", "default countermeasure scheme for coupled requests that carry no \"scheme\": plain, staggered, shielded or auto (needs -aggressor)")
 		grace       = flag.Duration("grace", 30*time.Second, "shutdown drain budget for in-flight requests")
 
 		cacheSave    = flag.String("cache-save", "", "snapshot the caches to this file periodically and at shutdown")
@@ -116,17 +116,12 @@ func main() {
 		peerTimeout = flag.Duration("peer-timeout", 15*time.Second, "per-forward timeout for peer requests")
 		peerStrict  = flag.Bool("peer-strict", false, "answer peer failures with a retryable peer_unavailable error instead of solving locally")
 	)
+	scenario := api.ScenarioFlags(flag.CommandLine)
 	flag.Parse()
 
-	agg, err := delay.ParseAggressor(*defaultAgg)
+	defScenario, err := scenario()
 	if err != nil {
-		fatal(fmt.Errorf("ripd: -aggressor: %v", err))
-	}
-	if _, err := delay.ParseSchemeMode(*defaultSch); err != nil {
-		fatal(fmt.Errorf("ripd: -scheme: %v", err))
-	}
-	if *defaultSch != "" && agg == delay.AggressorNone {
-		fatal(fmt.Errorf("ripd: -scheme %q needs -aggressor worst, best or quiet", *defaultSch))
+		fatal(err)
 	}
 
 	reg := rip.NewTechRegistry()
@@ -200,8 +195,7 @@ func main() {
 		MaxInFlight:       *maxInFlight,
 		RequestTimeout:    *timeout,
 		DefaultTargetMult: *target,
-		DefaultAggressor:  *defaultAgg,
-		DefaultScheme:     *defaultSch,
+		DefaultScenario:   defScenario,
 		Cluster:           node,
 		LastSnapshot:      lastSnap,
 	})

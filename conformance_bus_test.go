@@ -47,32 +47,35 @@ func TestConformanceBusNeverWorseThanIndependent(t *testing.T) {
 		nodes = nodes[:1]
 	}
 	for _, techName := range nodes {
-		eng, node := singleEngine(t, techName)
-		ref, _ := singleEngine(t, techName)
-		for _, tracks := range busGroups(t, node, 907, 3) {
-			br := eng.SolveBus(context.Background(), rip.BusJob{Tracks: tracks, TargetMult: 1.3})
-			if br.Err != nil {
-				t.Fatalf("%s/%s: %v", techName, tracks[0].Name, br.Err)
-			}
-			if !costLE(br.Infeasible, br.GroupCost, br.BaselineInfeasible, br.GroupBaselineCost) {
-				t.Fatalf("%s/%s: coordinated (%d, %g) worse than independent (%d, %g)",
-					techName, tracks[0].Name, br.Infeasible, br.GroupCost,
-					br.BaselineInfeasible, br.GroupBaselineCost)
-			}
-			for i, bt := range br.Tracks {
-				ind := ref.Solve(rip.BatchJob{Net: tracks[i], TargetMult: 1.3, Aggressor: "worst", Scheme: "plain"})
-				if ind.Err != nil {
-					t.Fatalf("%s/%s: independent solve: %v", techName, tracks[i].Name, ind.Err)
+		t.Run(techName, func(t *testing.T) {
+			t.Parallel()
+			eng, node := singleEngine(t, techName)
+			ref, _ := singleEngine(t, techName)
+			for _, tracks := range busGroups(t, node, 907, 3) {
+				br := eng.SolveBus(context.Background(), rip.BusJob{Tracks: tracks, TargetMult: 1.3})
+				if br.Err != nil {
+					t.Fatalf("%s/%s: %v", techName, tracks[0].Name, br.Err)
 				}
-				is, bs := ind.Res.Solution, bt.Baseline.Solution
-				if bt.Target != ind.Target || bt.TMin != ind.TMin ||
-					bs.Feasible != is.Feasible || bs.TotalWidth != is.TotalWidth || bs.Delay != is.Delay {
-					t.Fatalf("%s/%s track %d: bus baseline (target %g tmin %g width %g) != worst/plain solve (%g, %g, %g)",
-						techName, tracks[i].Name, i, bt.Target, bt.TMin, bs.TotalWidth,
-						ind.Target, ind.TMin, is.TotalWidth)
+				if !costLE(br.Infeasible, br.GroupCost, br.BaselineInfeasible, br.GroupBaselineCost) {
+					t.Fatalf("%s/%s: coordinated (%d, %g) worse than independent (%d, %g)",
+						techName, tracks[0].Name, br.Infeasible, br.GroupCost,
+						br.BaselineInfeasible, br.GroupBaselineCost)
+				}
+				for i, bt := range br.Tracks {
+					ind := ref.Solve(rip.BatchJob{Net: tracks[i], TargetMult: 1.3, Scenario: scenario(t, "worst", "plain")})
+					if ind.Err != nil {
+						t.Fatalf("%s/%s: independent solve: %v", techName, tracks[i].Name, ind.Err)
+					}
+					is, bs := ind.Res.Solution, bt.Baseline.Solution
+					if bt.Target != ind.Target || bt.TMin != ind.TMin ||
+						bs.Feasible != is.Feasible || bs.TotalWidth != is.TotalWidth || bs.Delay != is.Delay {
+						t.Fatalf("%s/%s track %d: bus baseline (target %g tmin %g width %g) != worst/plain solve (%g, %g, %g)",
+							techName, tracks[i].Name, i, bt.Target, bt.TMin, bs.TotalWidth,
+							ind.Target, ind.TMin, is.TotalWidth)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -130,43 +133,46 @@ func TestConformanceBusAttributionSums(t *testing.T) {
 		nodes = nodes[:1]
 	}
 	for _, techName := range nodes {
-		eng, node := singleEngine(t, techName)
-		for _, tracks := range busGroups(t, node, 919, 2) {
-			br := eng.SolveBus(context.Background(), rip.BusJob{Tracks: tracks, TargetMult: 1.3})
-			if br.Err != nil {
-				t.Fatalf("%s: %v", techName, br.Err)
-			}
-			if len(br.Tracks) != len(tracks) {
-				t.Fatalf("%s: %d attributions for %d tracks", techName, len(br.Tracks), len(tracks))
-			}
-			var cost, base, area, pw float64
-			var inf, binf int
-			for _, bt := range br.Tracks {
-				if math.IsInf(bt.Cost, 1) {
-					inf++
-				} else {
-					cost += bt.Cost
+		t.Run(techName, func(t *testing.T) {
+			t.Parallel()
+			eng, node := singleEngine(t, techName)
+			for _, tracks := range busGroups(t, node, 919, 2) {
+				br := eng.SolveBus(context.Background(), rip.BusJob{Tracks: tracks, TargetMult: 1.3})
+				if br.Err != nil {
+					t.Fatalf("%s: %v", techName, br.Err)
 				}
-				if math.IsInf(bt.BaselineCost, 1) {
-					binf++
-				} else {
-					base += bt.BaselineCost
+				if len(br.Tracks) != len(tracks) {
+					t.Fatalf("%s: %d attributions for %d tracks", techName, len(br.Tracks), len(tracks))
 				}
-				area += bt.AreaSaved
-				pw += bt.PowerSavedW
+				var cost, base, area, pw float64
+				var inf, binf int
+				for _, bt := range br.Tracks {
+					if math.IsInf(bt.Cost, 1) {
+						inf++
+					} else {
+						cost += bt.Cost
+					}
+					if math.IsInf(bt.BaselineCost, 1) {
+						binf++
+					} else {
+						base += bt.BaselineCost
+					}
+					area += bt.AreaSaved
+					pw += bt.PowerSavedW
+				}
+				switch {
+				case cost != br.GroupCost, inf != br.Infeasible:
+					t.Fatalf("%s: track costs sum to (%d, %g), group reports (%d, %g)",
+						techName, inf, cost, br.Infeasible, br.GroupCost)
+				case base != br.GroupBaselineCost, binf != br.BaselineInfeasible:
+					t.Fatalf("%s: track baselines sum to (%d, %g), group reports (%d, %g)",
+						techName, binf, base, br.BaselineInfeasible, br.GroupBaselineCost)
+				case area != br.GroupAreaSaved, pw != br.GroupPowerSavedW:
+					t.Fatalf("%s: track savings sum to (%g, %g), group reports (%g, %g)",
+						techName, area, pw, br.GroupAreaSaved, br.GroupPowerSavedW)
+				}
 			}
-			switch {
-			case cost != br.GroupCost, inf != br.Infeasible:
-				t.Fatalf("%s: track costs sum to (%d, %g), group reports (%d, %g)",
-					techName, inf, cost, br.Infeasible, br.GroupCost)
-			case base != br.GroupBaselineCost, binf != br.BaselineInfeasible:
-				t.Fatalf("%s: track baselines sum to (%d, %g), group reports (%d, %g)",
-					techName, binf, base, br.BaselineInfeasible, br.GroupBaselineCost)
-			case area != br.GroupAreaSaved, pw != br.GroupPowerSavedW:
-				t.Fatalf("%s: track savings sum to (%g, %g), group reports (%g, %g)",
-					techName, area, pw, br.GroupAreaSaved, br.GroupPowerSavedW)
-			}
-		}
+		})
 	}
 }
 

@@ -21,6 +21,17 @@ import (
 var conformanceAggressors = []string{"worst", "best", "quiet"}
 var conformanceSchemes = []string{"plain", "staggered", "shielded", "auto"}
 
+// scenario parses a named crosstalk scenario, failing the test if the
+// tokens are refused.
+func scenario(t *testing.T, agg, scheme string) rip.Scenario {
+	t.Helper()
+	sc, err := rip.ParseScenario(agg, scheme, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // sameCoupledResult extends sameLineResult with the coupled payload:
 // per-interval schemes and the staggered/shielded length accounting.
 func sameCoupledResult(t *testing.T, label string, multi, single rip.BatchResult) {
@@ -39,9 +50,8 @@ func sameCoupledResult(t *testing.T, label string, multi, single rip.BatchResult
 		t.Fatalf("%s: scheme lengths (%g, %g) vs (%g, %g)",
 			label, ms.StaggerLen, ms.ShieldLen, ss.StaggerLen, ss.ShieldLen)
 	}
-	if multi.Aggressor != single.Aggressor || multi.Scheme != single.Scheme {
-		t.Fatalf("%s: attribution (%q, %q) vs (%q, %q)",
-			label, multi.Aggressor, multi.Scheme, single.Aggressor, single.Scheme)
+	if multi.Scenario != single.Scenario {
+		t.Fatalf("%s: attribution %+v vs %+v", label, multi.Scenario, single.Scenario)
 	}
 }
 
@@ -85,16 +95,16 @@ func sameCoupledWarmResult(t *testing.T, label string, warm, cold rip.BatchResul
 		t.Fatalf("%s: scheme lengths (%g, %g) vs (%g, %g)",
 			label, ws.StaggerLen, ws.ShieldLen, cs.StaggerLen, cs.ShieldLen)
 	}
-	if warm.Aggressor != cold.Aggressor || warm.Scheme != cold.Scheme {
-		t.Fatalf("%s: attribution (%q, %q) vs (%q, %q)",
-			label, warm.Aggressor, warm.Scheme, cold.Aggressor, cold.Scheme)
+	if warm.Scenario != cold.Scenario {
+		t.Fatalf("%s: attribution %+v vs %+v", label, warm.Scenario, cold.Scenario)
 	}
 }
 
 // TestConformanceCoupledMultiMatchesSingle sweeps aggressor × scheme ×
 // node on line nets: the Multi's coupled answer must be bit-identical
 // to a fresh single-node engine's, and the result must attribute the
-// scenario it was solved under.
+// scenario it was solved under. Nodes run as parallel subtests on the
+// one shared Multi; each node has its own engine there.
 func TestConformanceCoupledMultiMatchesSingle(t *testing.T) {
 	multi := multiAllNodes(t, 1)
 	nodes := conformanceNodes
@@ -102,25 +112,28 @@ func TestConformanceCoupledMultiMatchesSingle(t *testing.T) {
 		nodes = nodes[:1]
 	}
 	for _, techName := range nodes {
-		single, node := singleEngine(t, techName)
-		nets, err := rip.GenerateNets(node, 71, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, agg := range conformanceAggressors {
-			for _, scheme := range conformanceSchemes {
-				j := rip.BatchJob{Net: nets[0], TargetMult: 1.3, Aggressor: agg, Scheme: scheme}
-				mj := j
-				mj.Tech = techName
-				mres := multi.Solve(mj)
-				sres := single.Solve(j)
-				label := techName + "/" + agg + "/" + scheme
-				sameCoupledResult(t, label, mres, sres)
-				if mres.Aggressor != agg || mres.Scheme != scheme {
-					t.Fatalf("%s: result attributes (%q, %q)", label, mres.Aggressor, mres.Scheme)
+		t.Run(techName, func(t *testing.T) {
+			t.Parallel()
+			single, node := singleEngine(t, techName)
+			nets, err := rip.GenerateNets(node, 71, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, agg := range conformanceAggressors {
+				for _, scheme := range conformanceSchemes {
+					j := rip.BatchJob{Net: nets[0], TargetMult: 1.3, Scenario: scenario(t, agg, scheme)}
+					mj := j
+					mj.Tech = techName
+					mres := multi.Solve(mj)
+					sres := single.Solve(j)
+					label := techName + "/" + agg + "/" + scheme
+					sameCoupledResult(t, label, mres, sres)
+					if a, s, _ := mres.Scenario.Tokens(); a != agg || s != scheme {
+						t.Fatalf("%s: result attributes (%q, %q)", label, a, s)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -152,7 +165,7 @@ func TestConformanceCoupledZeroCcMatchesUncoupled(t *testing.T) {
 		want := ref.Solve(rip.BatchJob{Net: n, TargetMult: 1.3})
 		for _, agg := range conformanceAggressors {
 			for _, scheme := range conformanceSchemes {
-				got := cplEng.Solve(rip.BatchJob{Net: n, TargetMult: 1.3, Aggressor: agg, Scheme: scheme})
+				got := cplEng.Solve(rip.BatchJob{Net: n, TargetMult: 1.3, Scenario: scenario(t, agg, scheme)})
 				label := n.Name + "/" + agg + "/" + scheme
 				if got.Err != nil || want.Err != nil {
 					t.Fatalf("%s: errs coupled=%v classic=%v", label, got.Err, want.Err)
@@ -181,11 +194,22 @@ func TestConformanceCoupledZeroCcMatchesUncoupled(t *testing.T) {
 	}
 }
 
-// TestConformanceCouplingJobValidation pins the request surface: a tree
-// job cannot be coupled, a scheme needs an aggressor, and unknown
-// tokens are rejected — all as job errors, never as silent fallbacks to
-// the classic model.
+// TestConformanceCouplingJobValidation pins the scenario surface: a
+// scheme needs an aggressor and unknown tokens are refused when the
+// scenario is parsed, so no job can carry them; a tree job cannot be
+// coupled and an explicit factor must fit the node — both job errors,
+// never silent fallbacks to the classic model.
 func TestConformanceCouplingJobValidation(t *testing.T) {
+	for _, tc := range []struct{ name, agg, scheme string }{
+		{"scheme without aggressor", "", "staggered"},
+		{"scheme with explicit none", "none", "auto"},
+		{"unknown aggressor", "loudest", ""},
+		{"unknown scheme", "worst", "twisted"},
+	} {
+		if sc, err := rip.ParseScenario(tc.agg, tc.scheme, nil); err == nil {
+			t.Fatalf("%s: parsed as %+v", tc.name, sc)
+		}
+	}
 	eng, node := singleEngine(t, "180nm")
 	trees, err := rip.GenerateTreeNets(node, 73, 1)
 	if err != nil {
@@ -195,15 +219,17 @@ func TestConformanceCouplingJobValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mf := node.MillerMax + 1
+	over, err := rip.ParseScenario("", "", &mf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		job  rip.BatchJob
 	}{
-		{"tree+aggressor", rip.BatchJob{TreeNet: trees[0], TargetMult: 1.3, Aggressor: "worst"}},
-		{"scheme without aggressor", rip.BatchJob{Net: nets[0], TargetMult: 1.3, Scheme: "staggered"}},
-		{"scheme with explicit none", rip.BatchJob{Net: nets[0], TargetMult: 1.3, Aggressor: "none", Scheme: "auto"}},
-		{"unknown aggressor", rip.BatchJob{Net: nets[0], TargetMult: 1.3, Aggressor: "loudest"}},
-		{"unknown scheme", rip.BatchJob{Net: nets[0], TargetMult: 1.3, Aggressor: "worst", Scheme: "twisted"}},
+		{"tree+aggressor", rip.BatchJob{TreeNet: trees[0], TargetMult: 1.3, Scenario: scenario(t, "worst", "")}},
+		{"mf above MillerMax", rip.BatchJob{Net: nets[0], TargetMult: 1.3, Scenario: over}},
 	} {
 		if res := eng.Solve(tc.job); res.Err == nil {
 			t.Fatalf("%s: job accepted", tc.name)
@@ -241,14 +267,14 @@ func TestConformanceCouplingCacheIsolation(t *testing.T) {
 	want := make([]rip.BatchResult, len(scenarios))
 	for i, sc := range scenarios {
 		fresh, _ := singleEngine(t, "180nm")
-		want[i] = fresh.Solve(rip.BatchJob{Net: nets[0], TargetMult: 1.3, Aggressor: sc.agg, Scheme: sc.schem})
+		want[i] = fresh.Solve(rip.BatchJob{Net: nets[0], TargetMult: 1.3, Scenario: scenario(t, sc.agg, sc.schem)})
 		if want[i].Err != nil {
 			t.Fatalf("%s: %v", sc.name, want[i].Err)
 		}
 	}
 	for round := 0; round < 2; round++ {
 		for i, sc := range scenarios {
-			got := warm.Solve(rip.BatchJob{Net: nets[0], TargetMult: 1.3, Aggressor: sc.agg, Scheme: sc.schem})
+			got := warm.Solve(rip.BatchJob{Net: nets[0], TargetMult: 1.3, Scenario: scenario(t, sc.agg, sc.schem)})
 			sameCoupledWarmResult(t, sc.name, got, want[i])
 			if round == 1 && !got.CacheHit {
 				t.Fatalf("%s: second serve missed the cache", sc.name)
@@ -271,9 +297,9 @@ func TestConformanceCouplingSnapshotRoundTrip(t *testing.T) {
 	jobs := func(n *rip.Net) []rip.BatchJob {
 		return []rip.BatchJob{
 			{Net: n, Tech: "180nm", TargetMult: 1.3},
-			{Net: n, Tech: "180nm", TargetMult: 1.3, Aggressor: "worst", Scheme: "staggered"},
-			{Net: n, Tech: "180nm", TargetMult: 1.3, Aggressor: "worst", Scheme: "shielded"},
-			{Net: n, Tech: "180nm", TargetMult: 1.3, Aggressor: "quiet", Scheme: "auto"},
+			{Net: n, Tech: "180nm", TargetMult: 1.3, Scenario: scenario(t, "worst", "staggered")},
+			{Net: n, Tech: "180nm", TargetMult: 1.3, Scenario: scenario(t, "worst", "shielded")},
+			{Net: n, Tech: "180nm", TargetMult: 1.3, Scenario: scenario(t, "quiet", "auto")},
 		}
 	}
 	node, err := rip.BuiltinTech("180nm")
@@ -306,7 +332,8 @@ func TestConformanceCouplingSnapshotRoundTrip(t *testing.T) {
 	}
 	got := second.Run(jobs(nets[0]))
 	for i := range got {
-		label := want[i].Aggressor + "/" + want[i].Scheme
+		agg, scheme, _ := want[i].Scenario.Tokens()
+		label := agg + "/" + scheme
 		sameCoupledWarmResult(t, label, got[i], want[i])
 		if !got[i].CacheHit {
 			t.Fatalf("%s: restored engine missed the cache", label)
@@ -339,7 +366,7 @@ func TestConformanceSnapshotRefusesDecoupledNode(t *testing.T) {
 	}
 	jobs := []rip.BatchJob{
 		{Net: nets[0], TargetMult: 1.3},
-		{Net: nets[0], TargetMult: 1.3, Aggressor: "worst", Scheme: "staggered"},
+		{Net: nets[0], TargetMult: 1.3, Scenario: scenario(t, "worst", "staggered")},
 	}
 	for _, r := range m1.Run(jobs) {
 		if r.Err != nil {

@@ -99,35 +99,38 @@ func sameTreeResult(t *testing.T, label string, multi, single rip.BatchResult) {
 func TestConformanceMultiMatchesSingleLine(t *testing.T) {
 	multi := multiAllNodes(t, 1)
 	for _, techName := range conformanceNodes {
-		single, node := singleEngine(t, techName)
-		nets, err := rip.GenerateNets(node, 71, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// τmin for the absolute-budget leg, and the MinDelay cross-check.
-		tmin, err := rip.MinimumDelay(nets[0], node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs := []rip.BatchJob{
-			{Net: nets[0], TargetMult: 1.3},
-			{Net: nets[0], Target: 1.25 * tmin},
-			{Net: nets[1], TargetMult: 1.15},
-		}
-		for i, j := range jobs {
-			mj := j
-			mj.Tech = techName
-			mres := multi.Solve(mj)
-			sres := single.Solve(j)
-			label := techName + "/" + nets[0].Name
-			sameLineResult(t, label, mres, sres)
-			if mres.Tech != techName {
-				t.Fatalf("%s: attribution %q", label, mres.Tech)
+		t.Run(techName, func(t *testing.T) {
+			t.Parallel()
+			single, node := singleEngine(t, techName)
+			nets, err := rip.GenerateNets(node, 71, 2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if i == 0 && mres.TMin != tmin {
-				t.Fatalf("%s: multi τmin %g != MinimumDelay %g", label, mres.TMin, tmin)
+			// τmin for the absolute-budget leg, and the MinDelay cross-check.
+			tmin, err := rip.MinimumDelay(nets[0], node)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			jobs := []rip.BatchJob{
+				{Net: nets[0], TargetMult: 1.3},
+				{Net: nets[0], Target: 1.25 * tmin},
+				{Net: nets[1], TargetMult: 1.15},
+			}
+			for i, j := range jobs {
+				mj := j
+				mj.Tech = techName
+				mres := multi.Solve(mj)
+				sres := single.Solve(j)
+				label := techName + "/" + nets[0].Name
+				sameLineResult(t, label, mres, sres)
+				if mres.Tech != techName {
+					t.Fatalf("%s: attribution %q", label, mres.Tech)
+				}
+				if i == 0 && mres.TMin != tmin {
+					t.Fatalf("%s: multi τmin %g != MinimumDelay %g", label, mres.TMin, tmin)
+				}
+			}
+		})
 	}
 }
 

@@ -271,19 +271,29 @@ func ExampleNewEngine_coupled() {
 	}
 	net := &rip.Net{Name: "bus", Line: line, DriverWidth: 240, ReceiverWidth: 80}
 
-	plain := eng.Solve(rip.BatchJob{Net: net, TargetMult: 1.3, Aggressor: "worst"})
+	worst, err := rip.ParseScenario("worst", "", nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	plain := eng.Solve(rip.BatchJob{Net: net, TargetMult: 1.3, Scenario: worst})
 	if plain.Err != nil {
 		log.Fatal(plain.Err)
 	}
 	// Same absolute budget, staggering on the menu.
-	stag := eng.Solve(rip.BatchJob{Net: net, Target: plain.Target, Aggressor: "worst", Scheme: "staggered"})
+	staggered, err := rip.ParseScenario("worst", "staggered", nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stag := eng.Solve(rip.BatchJob{Net: net, Target: plain.Target, Scenario: staggered})
 	if stag.Err != nil {
 		log.Fatal(stag.Err)
 	}
 	p, s := plain.Res.Solution, stag.Res.Solution
-	fmt.Printf("%s/%s: feasible=%v\n", plain.Aggressor, plain.Scheme, p.Feasible)
+	agg, scheme, _ := plain.Scenario.Tokens()
+	fmt.Printf("%s/%s: feasible=%v\n", agg, scheme, p.Feasible)
+	agg, scheme, _ = stag.Scenario.Tokens()
 	fmt.Printf("%s/%s: feasible=%v, no wider: %v, staggered length > 0: %v\n",
-		stag.Aggressor, stag.Scheme, s.Feasible, s.TotalWidth <= p.TotalWidth, s.StaggerLen > 0)
+		agg, scheme, s.Feasible, s.TotalWidth <= p.TotalWidth, s.StaggerLen > 0)
 	// Output:
 	// worst/plain: feasible=true
 	// worst/staggered: feasible=true, no wider: true, staggered length > 0: true

@@ -70,57 +70,60 @@ func TestConformanceFrontSweepLine(t *testing.T) {
 		t.Skip("25-budget differential sweep")
 	}
 	for _, techName := range conformanceNodes {
-		node, err := rip.BuiltinTech(techName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nets, err := rip.GenerateNets(node, 83, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net := nets[0]
-		tmin, err := rip.MinimumDelay(net, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := rip.NewEngine(node, rip.EngineOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := rip.NewEngine(node, rip.EngineOptions{Workers: 1, Cache: rip.CacheOptions{Disabled: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mults, targets := sweepLadder(tmin)
-		for _, m := range mults {
-			j := rip.BatchJob{Net: net, TargetMult: m}
-			sameSweepLine(t, techName+"/rel", warm.Solve(j), fresh.Solve(j))
-		}
-		var fromSingles []rip.BatchResult
-		for _, target := range targets {
-			j := rip.BatchJob{Net: net, Target: target}
-			got, want := warm.Solve(j), fresh.Solve(j)
-			sameSweepLine(t, techName+"/abs", got, want)
-			fromSingles = append(fromSingles, got)
-		}
-		// The batched sweep must reproduce the individual lookups exactly:
-		// one job, every budget, same cached front.
-		sweep := warm.Solve(rip.BatchJob{Net: net, Budgets: targets})
-		if sweep.Err != nil {
-			t.Fatalf("%s: sweep: %v", techName, sweep.Err)
-		}
-		if len(sweep.Sweep) != len(targets) {
-			t.Fatalf("%s: sweep answered %d budgets, want %d", techName, len(sweep.Sweep), len(targets))
-		}
-		for k, ba := range sweep.Sweep {
-			single := fromSingles[k].Res.Solution
-			batch := ba.Res.Solution
-			if ba.Budget != targets[k] || batch.Feasible != single.Feasible ||
-				batch.Delay != single.Delay || batch.TotalWidth != single.TotalWidth {
-				t.Fatalf("%s: sweep budget %d differs from single solve: %+v vs %+v",
-					techName, k, batch, single)
+		t.Run(techName, func(t *testing.T) {
+			t.Parallel()
+			node, err := rip.BuiltinTech(techName)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			nets, err := rip.GenerateNets(node, 83, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := nets[0]
+			tmin, err := rip.MinimumDelay(net, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := rip.NewEngine(node, rip.EngineOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := rip.NewEngine(node, rip.EngineOptions{Workers: 1, Cache: rip.CacheOptions{Disabled: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mults, targets := sweepLadder(tmin)
+			for _, m := range mults {
+				j := rip.BatchJob{Net: net, TargetMult: m}
+				sameSweepLine(t, techName+"/rel", warm.Solve(j), fresh.Solve(j))
+			}
+			var fromSingles []rip.BatchResult
+			for _, target := range targets {
+				j := rip.BatchJob{Net: net, Target: target}
+				got, want := warm.Solve(j), fresh.Solve(j)
+				sameSweepLine(t, techName+"/abs", got, want)
+				fromSingles = append(fromSingles, got)
+			}
+			// The batched sweep must reproduce the individual lookups exactly:
+			// one job, every budget, same cached front.
+			sweep := warm.Solve(rip.BatchJob{Net: net, Budgets: targets})
+			if sweep.Err != nil {
+				t.Fatalf("%s: sweep: %v", techName, sweep.Err)
+			}
+			if len(sweep.Sweep) != len(targets) {
+				t.Fatalf("%s: sweep answered %d budgets, want %d", techName, len(sweep.Sweep), len(targets))
+			}
+			for k, ba := range sweep.Sweep {
+				single := fromSingles[k].Res.Solution
+				batch := ba.Res.Solution
+				if ba.Budget != targets[k] || batch.Feasible != single.Feasible ||
+					batch.Delay != single.Delay || batch.TotalWidth != single.TotalWidth {
+					t.Fatalf("%s: sweep budget %d differs from single solve: %+v vs %+v",
+						techName, k, batch, single)
+				}
+			}
+		})
 	}
 }
 
@@ -133,47 +136,50 @@ func TestConformanceFrontSweepTree(t *testing.T) {
 		t.Skip("25-budget differential sweep")
 	}
 	for _, techName := range conformanceNodes {
-		node, err := rip.BuiltinTech(techName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trees, err := rip.GenerateTreeNets(node, 89, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn := trees[0]
-		tmin, err := rip.TreeMinimumDelay(tn, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := rip.NewEngine(node, rip.EngineOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := rip.NewEngine(node, rip.EngineOptions{Workers: 1, Cache: rip.CacheOptions{Disabled: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mults, targets := sweepLadder(tmin)
-		for _, m := range mults {
-			j := rip.BatchJob{TreeNet: tn, TargetMult: m}
-			sameTreeResult(t, techName+"/rel", warm.Solve(j), fresh.Solve(j))
-		}
-		for _, target := range targets {
-			j := rip.BatchJob{TreeNet: tn, Target: target}
-			sameTreeResult(t, techName+"/abs", warm.Solve(j), fresh.Solve(j))
-		}
-		sweep := warm.Solve(rip.BatchJob{TreeNet: tn, Budgets: targets})
-		if sweep.Err != nil {
-			t.Fatalf("%s: tree sweep: %v", techName, sweep.Err)
-		}
-		for k, ba := range sweep.Sweep {
-			want := fresh.Solve(rip.BatchJob{TreeNet: tn, Target: targets[k]})
-			if !ba.TreeRes.Solution.Feasible || ba.TreeRes.Solution.Slack != want.TreeRes.Solution.Slack ||
-				ba.TreeRes.Solution.TotalWidth != want.TreeRes.Solution.TotalWidth {
-				t.Fatalf("%s: tree sweep budget %d differs: %+v vs %+v",
-					techName, k, ba.TreeRes.Solution, want.TreeRes.Solution)
+		t.Run(techName, func(t *testing.T) {
+			t.Parallel()
+			node, err := rip.BuiltinTech(techName)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			trees, err := rip.GenerateTreeNets(node, 89, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tn := trees[0]
+			tmin, err := rip.TreeMinimumDelay(tn, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := rip.NewEngine(node, rip.EngineOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := rip.NewEngine(node, rip.EngineOptions{Workers: 1, Cache: rip.CacheOptions{Disabled: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mults, targets := sweepLadder(tmin)
+			for _, m := range mults {
+				j := rip.BatchJob{TreeNet: tn, TargetMult: m}
+				sameTreeResult(t, techName+"/rel", warm.Solve(j), fresh.Solve(j))
+			}
+			for _, target := range targets {
+				j := rip.BatchJob{TreeNet: tn, Target: target}
+				sameTreeResult(t, techName+"/abs", warm.Solve(j), fresh.Solve(j))
+			}
+			sweep := warm.Solve(rip.BatchJob{TreeNet: tn, Budgets: targets})
+			if sweep.Err != nil {
+				t.Fatalf("%s: tree sweep: %v", techName, sweep.Err)
+			}
+			for k, ba := range sweep.Sweep {
+				want := fresh.Solve(rip.BatchJob{TreeNet: tn, Target: targets[k]})
+				if !ba.TreeRes.Solution.Feasible || ba.TreeRes.Solution.Slack != want.TreeRes.Solution.Slack ||
+					ba.TreeRes.Solution.TotalWidth != want.TreeRes.Solution.TotalWidth {
+					t.Fatalf("%s: tree sweep budget %d differs: %+v vs %+v",
+						techName, k, ba.TreeRes.Solution, want.TreeRes.Solution)
+				}
+			}
+		})
 	}
 }

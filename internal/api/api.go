@@ -15,9 +15,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"github.com/rip-eda/rip/internal/delay"
@@ -70,25 +70,18 @@ type Request struct {
 	// other value is a bad_request. Forwarded line jobs still carry an
 	// explicit 0 (see FromJob).
 	Eps *float64 `json:"eps,omitempty"`
-	// Aggressor opts the request into crosstalk-aware solving (line nets
-	// only): "worst", "best" or "quiet" prices coupling capacitance under
-	// that neighbor-switching assumption; "none" forces the classic
-	// ground-only model even when the transport carries a default
-	// aggressor; absent inherits that default. Requires a node with a
-	// coupling model.
-	Aggressor string `json:"aggressor,omitempty"`
-	// Scheme selects the countermeasures a coupled solve may deploy per
-	// grid interval: "plain" (none), "staggered", "shielded" or "auto"
-	// (both). Only meaningful with an aggressor; absent inherits the
-	// transport's default scheme.
-	Scheme string `json:"scheme,omitempty"`
-	// MF prices the net's coupling under an explicit Miller factor instead
-	// of a named scenario, with no countermeasure schemes (line nets only;
-	// mutually exclusive with aggressor/scheme). Bus co-optimization
-	// forwards member solves this way, pinning the exact factor a track's
-	// neighbors produce. Must be finite and within [0, MillerMax] — the
-	// upper bound is the engine's call, since it owns the technology.
-	MF *float64 `json:"mf,omitempty"`
+	// Aggressor, Scheme and MF are the wire tokens of the request's
+	// crosstalk scenario (line nets only; see delay.ParseScenario for the
+	// rules). "aggressor" is "worst", "best" or "quiet", or "none" to
+	// force the classic ground-only model even when the transport has a
+	// default scenario; "scheme" is "plain", "staggered", "shielded" or
+	// "auto". "mf" prices coupling under an explicit Miller factor
+	// instead, with no countermeasures — bus co-optimization forwards
+	// member solves this way. A request without "aggressor" or "mf"
+	// inherits the transport's default (see ApplyDefaultScenario).
+	Aggressor string   `json:"aggressor,omitempty"`
+	Scheme    string   `json:"scheme,omitempty"`
+	MF        *float64 `json:"mf,omitempty"`
 }
 
 // WireVersion is the wire-format version this package speaks; requests
@@ -131,7 +124,7 @@ func (r *Request) validate() error {
 	if err := r.checkEps(); err != nil {
 		return err
 	}
-	if err := r.checkCoupling(); err != nil {
+	if _, err := r.scenario(); err != nil {
 		return err
 	}
 	if r.Tree != nil {
@@ -156,41 +149,17 @@ func (r *Request) checkEps() error {
 	return nil
 }
 
-// checkCoupling rejects malformed crosstalk fields: unknown tokens, a
-// scheme without an aggressor, an explicit factor mixed with a named
-// scenario, and either on tree requests (the coupling model is a
-// line-net mode). Whether the node actually carries a coupling model is
-// the engine's call — it owns the technology.
-func (r *Request) checkCoupling() error {
-	if r.MF != nil {
-		if r.Aggressor != "" || r.Scheme != "" {
-			return fmt.Errorf("api: net %q: give mf or an aggressor/scheme scenario, not both", r.name())
-		}
-		if r.Tree != nil {
-			return fmt.Errorf("api: tree %q: mf is only supported for line nets", r.Tree.Name)
-		}
-		if mf := *r.MF; math.IsNaN(mf) || math.IsInf(mf, 0) || mf < 0 {
-			return fmt.Errorf("api: net %q: mf %g is not a finite non-negative factor", r.name(), mf)
-		}
-		return nil
-	}
-	agg, err := delay.ParseAggressor(r.Aggressor)
+// scenario parses the request's crosstalk tokens. It is the one scenario
+// check every endpoint runs (Validate, ValidateFront, FeedOptions.Line),
+// so a malformed scenario is refused with the same message everywhere.
+// Whether the node can price the scenario, and whether the net is a
+// line, is the engine's call.
+func (r *Request) scenario() (delay.Scenario, error) {
+	sc, err := delay.ParseScenario(r.Aggressor, r.Scheme, r.MF)
 	if err != nil {
-		return fmt.Errorf("api: net %q: %v", r.name(), err)
+		return sc, fmt.Errorf("api: net %q: %v", r.name(), err)
 	}
-	if _, err := delay.ParseSchemeMode(r.Scheme); err != nil {
-		return fmt.Errorf("api: net %q: %v", r.name(), err)
-	}
-	if agg == delay.AggressorNone {
-		if r.Scheme != "" {
-			return fmt.Errorf("api: net %q: scheme %q needs an aggressor (set aggressor to worst, best or quiet)", r.name(), r.Scheme)
-		}
-		return nil
-	}
-	if r.Tree != nil {
-		return fmt.Errorf("api: tree %q: aggressor is only supported for line nets", r.Tree.Name)
-	}
-	return nil
+	return sc, nil
 }
 
 func (r *Request) name() string {
@@ -203,17 +172,23 @@ func (r *Request) name() string {
 	return ""
 }
 
-// Job converts the request to an engine job (ns → seconds).
+// Job converts the request to an engine job (ns → seconds). Transports
+// call it on requests that passed Validate or ValidateFront; a request
+// whose crosstalk tokens do not parse yields a job without a net, which
+// every engine refuses and no forwarder routes, so it is never solved
+// under some other scenario.
 func (r *Request) Job() engine.Job {
+	sc, err := r.scenario()
+	if err != nil {
+		return engine.Job{Tech: r.Tech}
+	}
 	j := engine.Job{
 		Net:        r.Net,
 		TreeNet:    r.Tree,
 		Tech:       r.Tech,
 		TargetMult: r.TargetMult,
 		Target:     r.TargetNS * units.NanoSecond,
-		Aggressor:  r.Aggressor,
-		Scheme:     r.Scheme,
-		MF:         r.MF,
+		Scenario:   sc,
 	}
 	for _, t := range r.TargetsNS {
 		j.Budgets = append(j.Budgets, t*units.NanoSecond)
@@ -240,22 +215,20 @@ func (r *Request) ApplyDefault(targetMult, targetNS float64) {
 	r.TargetNS = targetNS
 }
 
-// ApplyDefaultCoupling fills in the transport-level default crosstalk
-// scenario (ripcli/ripd -aggressor/-scheme) on line requests that carry
-// no "aggressor" of their own. An explicit "none" stays uncoupled —
-// absent and none mean different things here — and a request-level
-// scheme always wins over the default scheme.
-func (r *Request) ApplyDefaultCoupling(aggressor, scheme string) {
-	if r.Tree != nil || aggressor == "" || r.MF != nil {
+// ApplyDefaultScenario fills in the transport's default crosstalk
+// scenario (ripcli/ripd -aggressor/-scheme) on a line request that
+// carries neither "aggressor" nor "mf": the request takes the default's
+// aggressor, and its scheme unless the request names its own. An
+// explicit "aggressor": "none" stays uncoupled — absent and none mean
+// different things here.
+func (r *Request) ApplyDefaultScenario(def delay.Scenario) {
+	if r.Tree != nil || r.Aggressor != "" || r.MF != nil {
 		return
 	}
-	if r.Aggressor == "" {
-		r.Aggressor = aggressor
-	}
-	if r.Scheme == "" && scheme != "" {
-		if agg, err := delay.ParseAggressor(r.Aggressor); err == nil && agg != delay.AggressorNone {
-			r.Scheme = scheme
-		}
+	agg, scheme, _ := def.Tokens()
+	r.Aggressor = agg
+	if r.Scheme == "" {
+		r.Scheme = scheme
 	}
 }
 
@@ -279,7 +252,9 @@ const (
 	KindTree
 )
 
-// ParseRequestKind is ParseRequest with an explicit bare-object kind.
+// ParseRequestKind is ParseRequest with an explicit bare-object kind. A
+// wrapper that decoded but is refused comes back with the error and the
+// decoded request, so the failure can name the request's net and tech.
 func ParseRequestKind(raw []byte, bare Kind) (Request, error) {
 	// The shape is decided by the presence of a "net"/"tree" key, not by
 	// whether the wrapper decode succeeds: falling back on any wrapper
@@ -300,10 +275,7 @@ func ParseRequestKind(raw []byte, bare Kind) (Request, error) {
 		// dropped: every transport (JSONL batches included) then answers
 		// it with a per-request error instead of an answer it never asked
 		// for.
-		if err := r.checkEps(); err != nil {
-			return Request{}, err
-		}
-		return r, nil
+		return r, r.checkEps()
 	}
 	if bare == KindTree {
 		var n tree.Net
@@ -323,15 +295,29 @@ func present(raw json.RawMessage) bool {
 	return len(raw) > 0 && string(raw) != "null"
 }
 
+// ScenarioFlags registers the -aggressor and -scheme flags with which
+// ripd and ripcli set their default crosstalk scenario, and returns the
+// function that parses them once fs has been parsed.
+func ScenarioFlags(fs *flag.FlagSet) func() (delay.Scenario, error) {
+	agg := fs.String("aggressor", "", `crosstalk aggressor for line nets that name no scenario of their own: worst, best, quiet or none (empty = classic ground-only model)`)
+	scheme := fs.String("scheme", "", "countermeasures a coupled solve may deploy: plain, staggered, shielded or auto (needs -aggressor)")
+	return func() (delay.Scenario, error) {
+		sc, err := delay.ParseScenario(*agg, *scheme, nil)
+		if err != nil {
+			return sc, fmt.Errorf("-aggressor/-scheme: %w", err)
+		}
+		return sc, nil
+	}
+}
+
 // FeedOptions parameterizes the shared JSONL ingest loop.
 type FeedOptions struct {
 	// DefaultMult / DefaultNS are the transport's default budget, applied
 	// to requests that carry none of their own (see Request.ApplyDefault).
 	DefaultMult, DefaultNS float64
-	// DefaultAggressor / DefaultScheme are the transport's default
-	// crosstalk scenario, applied to line requests that carry no
-	// "aggressor" of their own (see ApplyDefaultCoupling).
-	DefaultAggressor, DefaultScheme string
+	// DefaultScenario is the transport's default crosstalk scenario (see
+	// Request.ApplyDefaultScenario); the zero value is uncoupled.
+	DefaultScenario delay.Scenario
 	// Bare selects how unwrapped JSON objects decode (line nets by
 	// default; KindTree for ripcli -tree streams).
 	Bare Kind
@@ -344,20 +330,45 @@ type FeedOptions struct {
 	ForceDefault bool
 }
 
+// Line decodes one batch line — a JSONL line or a JSON-array element —
+// applies the transport's defaults and checks its crosstalk scenario,
+// returning the line's job. On failure it returns instead the coded
+// bad_request response to emit in the line's place: its message starts
+// with pos ("line 3", "element 2"), and it names the line's net, and the
+// line's own tech, when the line decoded that far.
+func (o FeedOptions) Line(raw []byte, pos string) (engine.Job, *Response) {
+	req, err := ParseRequestKind(raw, o.Bare)
+	if err == nil {
+		if o.ForceDefault && req.TargetMult <= 0 && req.TargetNS <= 0 && len(req.TargetsNS) == 0 {
+			req.TargetMult, req.TargetNS = o.DefaultMult, o.DefaultNS
+		} else {
+			req.ApplyDefault(o.DefaultMult, o.DefaultNS)
+		}
+		req.ApplyDefaultScenario(o.DefaultScenario)
+		_, err = req.scenario()
+	}
+	if err != nil {
+		fail := CodedErrorResponse(CodeBadRequest, req.Name(), req.Tech, pos+": "+err.Error())
+		return engine.Job{}, &fail
+	}
+	return req.Job(), nil
+}
+
 // FeedJSONL is the shared JSONL ingest loop: it reads one request per
-// line from in, applies the transport's default budget, and sends each
-// line's job on jobs — a zero Job for lines that fail to parse, so the
-// failure occupies its input-order slot in the result stream instead of
-// vanishing. noteErr receives each parse failure as (job index,
-// message); messages name the 1-based input line. Feeding stops early
-// when ctx is done. The caller owns the jobs channel (and closes it).
-// FeedJSONL returns the number of jobs sent and the reader error, if
-// any — a non-nil error means the input was truncated after that many
-// jobs.
+// line from in, turns each into a job with opts.Line and sends it on
+// jobs — a zero Job for lines that fail, so the failure occupies its
+// input-order slot in the result stream instead of vanishing. noteErr
+// receives each failure as (job index, the response to emit in its
+// place); messages name the 1-based input line, and a line that starts
+// with '[' is told that batch input is JSONL, not a JSON array. Feeding
+// stops early when ctx is done. The caller owns the jobs channel (and
+// closes it). FeedJSONL returns the number of jobs sent and the reader
+// error, if any — a non-nil error means the input was truncated after
+// that many jobs.
 //
 // Blank lines are skipped. Lines may be long: the scanner accepts up to
 // 16 MiB per line (nets with many segments).
-func FeedJSONL(ctx context.Context, in io.Reader, opts FeedOptions, jobs chan<- engine.Job, noteErr func(idx int, msg string)) (int, error) {
+func FeedJSONL(ctx context.Context, in io.Reader, opts FeedOptions, jobs chan<- engine.Job, noteErr func(idx int, fail Response)) (int, error) {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	idx, lineNo := 0, 0
@@ -367,18 +378,12 @@ func FeedJSONL(ctx context.Context, in io.Reader, opts FeedOptions, jobs chan<- 
 		if len(raw) == 0 {
 			continue
 		}
-		job := engine.Job{}
-		req, err := ParseRequestKind(raw, opts.Bare)
-		if err != nil {
-			noteErr(idx, fmt.Sprintf("line %d: %v", lineNo, err))
-		} else {
-			if opts.ForceDefault && req.TargetMult <= 0 && req.TargetNS <= 0 && len(req.TargetsNS) == 0 {
-				req.TargetMult, req.TargetNS = opts.DefaultMult, opts.DefaultNS
-			} else {
-				req.ApplyDefault(opts.DefaultMult, opts.DefaultNS)
+		job, fail := opts.Line(raw, fmt.Sprintf("line %d", lineNo))
+		if fail != nil {
+			if raw[0] == '[' {
+				fail.Err.Message += " (batch input is JSONL — one net per line, not a JSON array)"
 			}
-			req.ApplyDefaultCoupling(opts.DefaultAggressor, opts.DefaultScheme)
-			job = req.Job()
+			noteErr(idx, *fail)
 		}
 		select {
 		case jobs <- job:
@@ -499,9 +504,7 @@ func FromResult(r engine.Result) Response {
 		out.Err = errorInfo(r.Err, out.Net, out.Tech)
 		return out
 	}
-	out.Aggressor = r.Aggressor
-	out.Scheme = r.Scheme
-	out.MF = r.MF
+	out.Aggressor, out.Scheme, out.MF = r.Scenario.Tokens()
 	if len(r.Sweep) > 0 {
 		out.Feasible = true // all budgets met until one misses
 		for _, ba := range r.Sweep {
@@ -619,6 +622,9 @@ func (r *Request) validateFront() error {
 	if err := r.checkEps(); err != nil {
 		return err
 	}
+	if _, err := r.scenario(); err != nil {
+		return err
+	}
 	if r.Tree != nil {
 		return r.Tree.Validate()
 	}
@@ -661,10 +667,11 @@ type FrontResponse struct {
 	TMinNS float64 `json:"tmin_ns,omitempty"`
 	// Points is the curve, fastest (most power) first.
 	Points []FrontPoint `json:"points"`
-	// Aggressor and Scheme echo a coupled query's crosstalk scenario in
-	// normalized form; both absent for uncoupled queries.
-	Aggressor string `json:"aggressor,omitempty"`
-	Scheme    string `json:"scheme,omitempty"`
+	// Aggressor, Scheme and MF echo a coupled query's crosstalk scenario
+	// exactly as Response does; all absent for uncoupled queries.
+	Aggressor string   `json:"aggressor,omitempty"`
+	Scheme    string   `json:"scheme,omitempty"`
+	MF        *float64 `json:"mf,omitempty"`
 	// CacheHit reports whether the curve came from the solution cache.
 	CacheHit bool `json:"cache_hit"`
 	// Err is the structured error envelope for a failure (validation,
@@ -687,8 +694,7 @@ func FromFrontResult(fr engine.FrontResult) FrontResponse {
 		return out
 	}
 	out.TMinNS = fr.TMin / units.NanoSecond
-	out.Aggressor = fr.Aggressor
-	out.Scheme = fr.Scheme
+	out.Aggressor, out.Scheme, out.MF = fr.Scenario.Tokens()
 	out.Points = make([]FrontPoint, len(fr.Points))
 	for i, p := range fr.Points {
 		out.Points[i] = FrontPoint{

@@ -32,40 +32,30 @@ func FromJob(j engine.Job) Request {
 	for _, b := range j.Budgets {
 		r.TargetsNS = append(r.TargetsNS, b/units.NanoSecond)
 	}
+	// A coupled job forwards its normalized tokens ("plain" included), an
+	// explicit-factor job "mf" alone.
+	r.Aggressor, r.Scheme, r.MF = j.Scenario.Tokens()
 	if j.TreeNet == nil {
 		// Always an explicit "eps": 0 for line jobs: a peer still running
 		// a release with ε-relaxed solving would apply its own -eps default
 		// to a job without the field, and serve a relaxed answer.
 		eps := 0.0
 		r.Eps = &eps
-		// The crosstalk scenario is explicit for the same reason: an absent
-		// "aggressor" would let the peer's own -aggressor default couple a
-		// job the client asked to be classic, so uncoupled jobs forward a
-		// literal "none". A coupled job with an absent scheme pins "plain".
-		// An explicit-factor job forwards "mf" alone — its presence already
-		// pins the scenario, and mixing it with aggressor tokens is invalid.
-		if j.MF != nil {
-			mf := *j.MF
-			r.MF = &mf
-		} else if agg, err := delay.ParseAggressor(j.Aggressor); err == nil && agg == delay.AggressorNone {
+		// An uncoupled line job forwards a literal "none" for the same
+		// reason: an absent "aggressor" would let the peer's own default
+		// scenario couple a job the client asked to be classic.
+		if r.Aggressor == "" && r.MF == nil {
 			r.Aggressor = delay.AggressorNone.String()
-			r.Scheme = ""
-		} else {
-			r.Aggressor = j.Aggressor
-			r.Scheme = j.Scheme
-			if r.Scheme == "" {
-				r.Scheme = delay.SchemePlainOnly.String()
-			}
 		}
 	}
 	return r
 }
 
 // ToResult lifts a peer's wire response into the engine result the
-// local transport would have produced: nets echoed from the original
-// job, time fields back in seconds, and failures re-wrapped as coded
-// errors so the peer's classification (timeout, bad_request, ...)
-// survives the hop.
+// local transport would have produced: nets and scenario echoed from
+// the original job, time fields back in seconds, and failures re-wrapped
+// as coded errors so the peer's classification (timeout, bad_request,
+// ...) survives the hop.
 func ToResult(resp Response, j engine.Job) engine.Result {
 	r := engine.Result{
 		Net:      j.Net,
@@ -77,9 +67,7 @@ func ToResult(resp Response, j engine.Job) engine.Result {
 		r.Err = err
 		return r
 	}
-	r.Aggressor = resp.Aggressor
-	r.Scheme = resp.Scheme
-	r.MF = resp.MF
+	r.Scenario = j.Scenario
 	tree := j.TreeNet != nil
 	if len(resp.Sweep) > 0 {
 		r.Sweep = make([]engine.BudgetAnswer, len(resp.Sweep))
@@ -113,8 +101,7 @@ func ToFrontResult(resp FrontResponse, j engine.Job) engine.FrontResult {
 		return fr
 	}
 	fr.TMin = resp.TMinNS * units.NanoSecond
-	fr.Aggressor = resp.Aggressor
-	fr.Scheme = resp.Scheme
+	fr.Scenario = j.Scenario
 	fr.Points = make([]engine.FrontPoint, len(resp.Points))
 	for i, p := range resp.Points {
 		fr.Points[i] = engine.FrontPoint{

@@ -179,3 +179,40 @@ func FuzzParseScenario(f *testing.F) {
 		}
 	})
 }
+
+// TestJobNeverSolvesUnparsedScenario: a request whose crosstalk tokens
+// do not parse converts to a job without a net — refused by the engine,
+// routed by no forwarder — never to a job under some other scenario.
+func TestJobNeverSolvesUnparsedScenario(t *testing.T) {
+	m := scenarioEngine(t)
+	for _, req := range []Request{
+		{Net: testNet(t), TargetMult: 1.3, Aggressor: "loudest"},
+		{Net: testNet(t), TargetMult: 1.3, Scheme: "auto"},
+	} {
+		job := req.Job()
+		if job.Net != nil || job.TreeNet != nil {
+			t.Fatalf("%+v: job keeps its net", req)
+		}
+		if _, ok := m.Signature(job); ok {
+			t.Fatalf("%+v: job is routable", req)
+		}
+		if res := m.Solve(job); res.Err == nil {
+			t.Fatalf("%+v: job solved", req)
+		}
+	}
+}
+
+// TestForwardTreeScenario: a tree job's scenario crosses the forwarding
+// hop, so the owner refuses it as the local engine would, instead of
+// solving the tree uncoupled.
+func TestForwardTreeScenario(t *testing.T) {
+	req := Request{Tree: testTreeNet(t), TargetMult: 1.3, Aggressor: "worst"}
+	fwd := FromJob(req.Job())
+	if fwd.Aggressor != "worst" || fwd.Scheme != "plain" || fwd.Eps != nil {
+		t.Fatalf("forwarded tree request %+v", fwd)
+	}
+	res := scenarioEngine(t).Solve(fwd.Job())
+	if res.Err == nil || ErrorCode(res.Err) != CodeBadRequest {
+		t.Fatalf("coupled tree job: %v", res.Err)
+	}
+}

@@ -179,7 +179,7 @@ func TestFeedJSONLMixedKinds(t *testing.T) {
 	var errs []string
 	n, err := FeedJSONL(context.Background(), strings.NewReader(input),
 		FeedOptions{DefaultMult: 1.1, Bare: KindTree}, jobs,
-		func(idx int, msg string) { errs = append(errs, msg) })
+		func(idx int, fail Response) { errs = append(errs, fail.Err.Message) })
 	close(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestFeedJSONLForceDefault(t *testing.T) {
 	jobs := make(chan engine.Job, 4)
 	n, err := FeedJSONL(context.Background(), strings.NewReader(input),
 		FeedOptions{DefaultMult: 1.3, Bare: KindTree, ForceDefault: true}, jobs,
-		func(idx int, msg string) { t.Errorf("line %d: %s", idx, msg) })
+		func(idx int, fail Response) { t.Errorf("line %d: %s", idx, fail.Err.Message) })
 	close(jobs)
 	if err != nil || n != 2 {
 		t.Fatalf("fed %d jobs, err %v", n, err)

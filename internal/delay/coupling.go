@@ -2,6 +2,9 @@ package delay
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"github.com/rip-eda/rip/internal/tech"
 )
@@ -147,9 +150,11 @@ func (m SchemeMode) String() string {
 
 // Coupling is one resolved crosstalk scenario: the per-scheme Miller
 // factors and objective costs a solve prices intervals with. Construct
-// with NewCoupling; treat as read-only and share freely.
+// with Scenario.Resolve or NewCoupling; treat as read-only and share
+// freely.
 type Coupling struct {
-	// Aggressor and Mode echo the scenario for attribution.
+	// Aggressor and Mode name the scenario the coupling was resolved
+	// from (AggressorNone and SchemePlainOnly for an explicit factor).
 	Aggressor Aggressor
 	Mode      SchemeMode
 	// MF[s] is the effective Miller factor of scheme s (indexed by the
@@ -168,35 +173,85 @@ type Coupling struct {
 // It returns (nil, nil) for AggressorNone — the uncoupled model — and an
 // error when the node has no coupling model (MillerMax == 0).
 func NewCoupling(t *tech.Technology, agg Aggressor, mode SchemeMode) (*Coupling, error) {
-	if agg == AggressorNone {
+	return Scenario{agg: agg, mode: mode}.Resolve(t)
+}
+
+// Scenario is the crosstalk assumption one line solve is priced under:
+// the zero value is the classic uncoupled model, any other value a named
+// aggressor with a scheme mode or an explicit Miller factor with no
+// countermeasures. Only ParseScenario builds non-zero values, so every
+// Scenario is well formed and nothing downstream re-checks its tokens.
+// Scenarios compare with ==.
+type Scenario struct {
+	agg   Aggressor
+	mode  SchemeMode
+	mf    float64
+	hasMF bool
+}
+
+// ParseScenario builds a Scenario from its wire tokens: an aggressor (see
+// ParseAggressor), a scheme (see ParseSchemeMode) and an explicit Miller
+// factor (nil when absent). It refuses unknown tokens, a scheme without
+// a coupled aggressor, a factor mixed with either token, and a factor
+// that is not finite and non-negative.
+func ParseScenario(aggressor, scheme string, mf *float64) (Scenario, error) {
+	if mf != nil {
+		if aggressor != "" || scheme != "" {
+			return Scenario{}, fmt.Errorf("delay: give mf or an aggressor/scheme scenario, not both")
+		}
+		if x := *mf; math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+			return Scenario{}, fmt.Errorf("delay: mf %g is not a finite non-negative factor", x)
+		}
+		return Scenario{mf: *mf, hasMF: true}, nil
+	}
+	agg, err := ParseAggressor(aggressor)
+	if err != nil {
+		return Scenario{}, err
+	}
+	mode, err := ParseSchemeMode(scheme)
+	if err != nil {
+		return Scenario{}, err
+	}
+	if agg == AggressorNone && scheme != "" {
+		return Scenario{}, fmt.Errorf("delay: scheme %q needs an aggressor (worst, best or quiet)", scheme)
+	}
+	return Scenario{agg: agg, mode: mode}, nil
+}
+
+// Resolve prices the scenario on a technology: nil for an uncoupled
+// scenario, otherwise the per-scheme Miller factors and costs a solve
+// uses. It refuses a coupled scenario on a node without a coupling model
+// (MillerMax == 0) and an explicit factor above the node's MillerMax.
+func (s Scenario) Resolve(t *tech.Technology) (*Coupling, error) {
+	if !s.hasMF && s.agg == AggressorNone {
 		return nil, nil
 	}
 	if !t.HasCoupling() {
 		return nil, fmt.Errorf("delay: technology %s has no coupling model (MillerMax is 0)", t.Name)
 	}
-	mf := 1.0
-	switch agg {
-	case AggressorWorst:
+	mf := s.mf
+	switch {
+	case s.hasMF:
+		if mf > t.MillerMax {
+			return nil, fmt.Errorf("delay: Miller factor %g outside [0, %g] for technology %s", mf, t.MillerMax, t.Name)
+		}
+	case s.agg == AggressorWorst:
 		mf = t.MillerMax
-	case AggressorBest:
+	case s.agg == AggressorBest:
 		mf = t.MillerMin
-	case AggressorQuiet:
+	case s.agg == AggressorQuiet:
 		mf = 1
 	default:
-		return nil, fmt.Errorf("delay: invalid aggressor %d", agg)
+		return nil, fmt.Errorf("delay: invalid aggressor %d", s.agg)
 	}
-	c := &Coupling{Aggressor: agg, Mode: mode}
+	c := &Coupling{Aggressor: s.agg, Mode: s.mode}
 	c.MF[SchemePlain] = mf
 	// Staggering bounds the factor by MillerMax/2 but never raises it
 	// above the plain assumption (a best-case aggressor is already ≤ it).
-	c.MF[SchemeStaggered] = mf
-	if half := t.MillerMax / 2; half < mf {
-		c.MF[SchemeStaggered] = half
-	}
-	c.MF[SchemeShielded] = 0
+	c.MF[SchemeStaggered] = math.Min(mf, t.MillerMax/2)
 	c.CostUPerM[SchemeShielded] = t.ShieldUPerM
 	c.Schemes = append(c.Schemes, SchemePlain)
-	switch mode {
+	switch s.mode {
 	case SchemePlainOnly:
 	case SchemeModeStaggered:
 		c.Schemes = append(c.Schemes, SchemeStaggered)
@@ -205,32 +260,40 @@ func NewCoupling(t *tech.Technology, agg Aggressor, mode SchemeMode) (*Coupling,
 	case SchemeModeAuto:
 		c.Schemes = append(c.Schemes, SchemeStaggered, SchemeShielded)
 	default:
-		return nil, fmt.Errorf("delay: invalid scheme mode %d", mode)
+		return nil, fmt.Errorf("delay: invalid scheme mode %d", s.mode)
 	}
 	return c, nil
 }
 
-// NewCouplingFactor resolves an explicit Miller factor against a
-// technology: the plain wire is priced at exactly mf, with no
-// countermeasure schemes allowed. Bus co-optimization uses it to price a
-// track under the factor its actual neighbors produce (a blend of quiet
-// and switching sides) rather than a named scenario. mf must be finite
-// and within [0, MillerMax] — the physical range the node's coupling
-// window spans.
-func NewCouplingFactor(t *tech.Technology, mf float64) (*Coupling, error) {
-	if !t.HasCoupling() {
-		return nil, fmt.Errorf("delay: technology %s has no coupling model (MillerMax is 0)", t.Name)
+// AppendKey appends the scenario's cache-key suffix: nothing when
+// uncoupled, "|m" and the factor (7 significant digits, like every float
+// of a signature) or "|a" aggressor "|s" mode otherwise.
+func (s Scenario) AppendKey(b *strings.Builder) {
+	switch {
+	case s.hasMF:
+		b.WriteString("|m")
+		b.WriteString(strconv.FormatFloat(s.mf, 'e', 6, 64))
+		b.WriteByte(',')
+	case s.agg != AggressorNone:
+		b.WriteString("|a")
+		b.WriteString(s.agg.String())
+		b.WriteString("|s")
+		b.WriteString(s.mode.String())
 	}
-	if !(mf >= 0 && mf <= t.MillerMax) {
-		return nil, fmt.Errorf("delay: Miller factor %g outside [0, %g] for technology %s", mf, t.MillerMax, t.Name)
+}
+
+// Tokens returns the scenario's normalized wire tokens — all empty when
+// uncoupled, the aggressor and mode names ("plain" included), or the
+// factor alone — which ParseScenario turns back into s.
+func (s Scenario) Tokens() (aggressor, scheme string, mf *float64) {
+	switch {
+	case s.hasMF:
+		x := s.mf
+		return "", "", &x
+	case s.agg != AggressorNone:
+		return s.agg.String(), s.mode.String(), nil
 	}
-	c := &Coupling{Aggressor: AggressorNone, Mode: SchemePlainOnly}
-	c.MF[SchemePlain] = mf
-	c.MF[SchemeStaggered] = mf
-	c.MF[SchemeShielded] = 0
-	c.CostUPerM[SchemeShielded] = t.ShieldUPerM
-	c.Schemes = append(c.Schemes, SchemePlain)
-	return c, nil
+	return "", "", nil
 }
 
 // MinMF returns the smallest Miller factor over the allowed schemes — the

@@ -8,6 +8,7 @@ import (
 
 	"github.com/rip-eda/rip/internal/bus"
 	"github.com/rip-eda/rip/internal/core"
+	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/power"
 	"github.com/rip-eda/rip/internal/wire"
 )
@@ -173,6 +174,13 @@ func (m *Multi) SolveBus(ctx context.Context, bj BusJob) BusResult {
 	return br
 }
 
+// factorScenario prices a member solve under factor mf; bus factors are
+// finite and non-negative, so ParseScenario cannot refuse them.
+func factorScenario(mf float64) delay.Scenario {
+	s, _ := delay.ParseScenario("", "", &mf)
+	return s
+}
+
 // solveBus is the shared body: validate, build the outcome table with
 // one member batch per pass, co-decide, attribute.
 func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Context, []Job) []Result) BusResult {
@@ -213,8 +221,7 @@ func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Conte
 	// the independent baseline and resolves each track's absolute budget.
 	base := make([]Job, n)
 	for i, t := range bj.Tracks {
-		mf := mm
-		base[i] = Job{Net: t, Tech: bj.Tech, TargetMult: bj.TargetMult, Target: bj.Target, MF: &mf}
+		base[i] = Job{Net: t, Tech: bj.Tech, TargetMult: bj.TargetMult, Target: bj.Target, Scenario: factorScenario(mm)}
 	}
 	baseRes := run(ctx, base)
 	for i, r := range baseRes {
@@ -236,8 +243,7 @@ func (e *Engine) solveBus(ctx context.Context, bj BusJob, run func(context.Conte
 			if mfs[k] == mm {
 				continue // already solved in pass 1
 			}
-			mf := mfs[k]
-			tjobs = append(tjobs, Job{Net: t, Tech: bj.Tech, Target: baseRes[i].Target, MF: &mf})
+			tjobs = append(tjobs, Job{Net: t, Tech: bj.Tech, Target: baseRes[i].Target, Scenario: factorScenario(mfs[k])})
 			slots = append(slots, slot{track: i, mfIdx: k})
 		}
 	}

@@ -102,26 +102,11 @@ type Job struct {
 	// positive and finite. For trees each budget is a uniform per-sink
 	// deadline.
 	Budgets []float64
-	// Aggressor opts the job into crosstalk-aware solving (line nets
-	// only): the neighbor-switching assumption coupling capacitance is
-	// priced under — "worst", "best", "quiet", or ""/"none" for the
-	// classic ground-only model. Requires a technology with a coupling
-	// model (tech.HasCoupling). Coupled fronts are cached under keys
-	// disjoint from uncoupled ones and from other scenarios.
-	Aggressor string
-	// Scheme selects the per-interval countermeasures a coupled solve may
-	// deploy: "plain" (or "", no countermeasures), "staggered", "shielded"
-	// or "auto" (both). Only meaningful with a non-none Aggressor; a
-	// scheme without an aggressor is rejected.
-	Scheme string
-	// MF prices the job's coupling capacitance under an explicit Miller
-	// factor instead of a named aggressor scenario (line nets only, no
-	// countermeasure schemes). Bus co-optimization uses it to solve each
-	// track under the factor its actual neighbors produce. Mutually
-	// exclusive with Aggressor/Scheme; must be finite and within
-	// [0, MillerMax]. Factor fronts are cached under keys disjoint from
-	// scenario fronts and from the uncoupled front.
-	MF *float64
+	// Scenario opts a line job into crosstalk-aware solving (the zero
+	// value is the classic ground-only model). A coupled scenario needs a
+	// technology with a coupling model (tech.HasCoupling); fronts of
+	// different scenarios are cached under disjoint keys.
+	Scenario delay.Scenario
 }
 
 // Result is one net's outcome. Err is per-net: a failed job never aborts
@@ -158,16 +143,10 @@ type Result struct {
 	// for such jobs. All answers come from one front solve (or one
 	// verified front hit).
 	Sweep []BudgetAnswer
-	// Aggressor and Scheme echo a coupled job's crosstalk scenario in
-	// normalized form ("worst"/"best"/"quiet" and "plain"/"staggered"/
-	// "shielded"/"auto"); both empty for uncoupled jobs. The per-answer
-	// scheme attribution lives on the served dp.Solution (Schemes,
-	// StaggerLen, ShieldLen).
-	Aggressor string
-	Scheme    string
-	// MF echoes an explicit-Miller-factor job's factor (nil otherwise);
-	// such jobs leave Aggressor and Scheme empty.
-	MF *float64
+	// Scenario echoes a coupled job's crosstalk scenario (zero for
+	// uncoupled jobs). The per-answer scheme attribution lives on the
+	// served dp.Solution (Schemes, StaggerLen, ShieldLen).
+	Scenario delay.Scenario
 	// CacheHit reports whether the solution was served from cache.
 	CacheHit bool
 	// Err records a per-net failure (validation or solver error).
@@ -612,47 +591,19 @@ func (e *Engine) noteCouplingAnswer(staggerLen, shieldLen float64) {
 	}
 }
 
-// resolveCoupling validates a job's crosstalk fields against the engine's
-// node and resolves them to a scenario (nil for uncoupled jobs). Errors
-// carry the ErrBadJob class: they are malformed requests, found before
-// any solving.
-func (e *Engine) resolveCoupling(j Job, name string) (*delay.Coupling, error) {
-	if j.MF != nil {
-		if j.Aggressor != "" || j.Scheme != "" {
-			return nil, badJob("engine: net %q: give MF or an aggressor/scheme scenario, not both", name)
-		}
-		if j.TreeNet != nil {
-			return nil, badJob("engine: tree net %q: coupling-aware solving is only supported for line nets", name)
-		}
-		if mf := *j.MF; math.IsNaN(mf) || math.IsInf(mf, 0) {
-			return nil, badJob("engine: net %q: Miller factor %g is not finite", name, mf)
-		}
-		cpl, err := delay.NewCouplingFactor(e.tech, *j.MF)
-		if err != nil {
-			return nil, asBadJob(err)
-		}
-		return cpl, nil
-	}
-	agg, err := delay.ParseAggressor(j.Aggressor)
-	if err != nil {
-		return nil, asBadJob(fmt.Errorf("engine: net %q: %w", name, err))
-	}
-	mode, err := delay.ParseSchemeMode(j.Scheme)
-	if err != nil {
-		return nil, asBadJob(fmt.Errorf("engine: net %q: %w", name, err))
-	}
-	if agg == delay.AggressorNone {
-		if j.Scheme != "" {
-			return nil, badJob("engine: net %q: scheme %q needs an aggressor (set Aggressor to worst, best or quiet)", name, j.Scheme)
-		}
-		return nil, nil
-	}
-	if j.TreeNet != nil {
+// lineCoupling resolves a job's crosstalk scenario against the engine's
+// node: nil for uncoupled jobs, an ErrBadJob-class error for a coupled
+// tree job or a scenario the node cannot price.
+func (e *Engine) lineCoupling(j Job, name string) (*delay.Coupling, error) {
+	if j.TreeNet != nil && j.Scenario != (delay.Scenario{}) {
 		return nil, badJob("engine: tree net %q: coupling-aware solving is only supported for line nets", name)
 	}
-	cpl, err := delay.NewCoupling(e.tech, agg, mode)
+	cpl, err := j.Scenario.Resolve(e.tech)
 	if err != nil {
-		return nil, asBadJob(err)
+		return nil, asBadJob(fmt.Errorf("engine: net %q: %w", name, err))
+	}
+	if cpl != nil {
+		e.couplingJobs.Add(1)
 	}
 	return cpl, nil
 }
@@ -777,20 +728,12 @@ func (e *Engine) solveContext(ctx context.Context, j Job, s *dp.Solver) (res Res
 			return res
 		}
 	}
-	cpl, err := e.resolveCoupling(j, res.name())
+	cpl, err := e.lineCoupling(j, res.name())
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	if cpl != nil {
-		if j.MF != nil {
-			res.MF = j.MF
-		} else {
-			res.Aggressor = cpl.Aggressor.String()
-			res.Scheme = cpl.Mode.String()
-		}
-		e.couplingJobs.Add(1)
-	}
+	res.Scenario = j.Scenario
 	// Take an engine-wide solve slot: concurrent callers queue here
 	// rather than multiplying parallelism beyond the worker budget.
 	select {
@@ -821,9 +764,7 @@ func (e *Engine) solveContext(ctx context.Context, j Job, s *dp.Solver) (res Res
 				e.hits.Add(1)
 				hit.Net = j.Net
 				hit.Tech = e.tech.Name
-				hit.Aggressor = res.Aggressor
-				hit.Scheme = res.Scheme
-				hit.MF = res.MF
+				hit.Scenario = res.Scenario
 				return hit
 			}
 			e.rejected.Add(1)

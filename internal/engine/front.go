@@ -29,7 +29,7 @@ type FrontPoint struct {
 	Repeaters int
 	// StaggerLen and ShieldLen are the summed lengths, in meters, of the
 	// point's staggered and shielded intervals. Zero except on coupled
-	// line fronts (a non-none Job.Aggressor).
+	// line fronts (a coupled Job.Scenario).
 	StaggerLen float64
 	ShieldLen  float64
 }
@@ -48,10 +48,9 @@ type FrontResult struct {
 	TMin float64
 	// Points is the front, fastest first.
 	Points []FrontPoint
-	// Aggressor and Scheme echo a coupled query's crosstalk scenario in
-	// normalized form; both empty for uncoupled queries.
-	Aggressor string
-	Scheme    string
+	// Scenario echoes the query's crosstalk scenario (zero for uncoupled
+	// queries).
+	Scenario delay.Scenario
 	// CacheHit reports whether the curve came from the solution cache.
 	CacheHit bool
 	// Err records a failure (validation or solver error).
@@ -95,16 +94,12 @@ func (e *Engine) FrontContext(ctx context.Context, j Job) (fr FrontResult) {
 		fr.Err = badJob("engine: net %q: give Net or TreeNet, not both", name)
 		return fr
 	}
-	cpl, err := e.resolveCoupling(j, name)
+	cpl, err := e.lineCoupling(j, name)
 	if err != nil {
 		fr.Err = err
 		return fr
 	}
-	if cpl != nil {
-		fr.Aggressor = cpl.Aggressor.String()
-		fr.Scheme = cpl.Mode.String()
-		e.couplingJobs.Add(1)
-	}
+	fr.Scenario = j.Scenario
 	select {
 	case e.solveSlots <- struct{}{}:
 		defer func() { <-e.solveSlots }()

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/tech"
 	"github.com/rip-eda/rip/internal/units"
 )
@@ -79,11 +78,11 @@ func newSigner(t *tech.Technology, opts CacheOptions) *signer {
 // length/RC profile, zone layout and terminal widths. The timing budget
 // is deliberately absent — the cached object is the net's whole Pareto
 // front, which answers every budget by lookup, so nets that canonicalize
-// identically are solved once and served for any target. A coupled job (a
-// parseable, non-none Aggressor) appends "|a"+aggressor and
-// "|s"+scheme mode: fronts priced under different crosstalk scenarios
-// answer different physics and must never alias each other or the
-// uncoupled front — and per-segment coupling densities join the segment
+// identically are solved once and served for any target. A coupled job
+// appends its scenario's suffix (Scenario.AppendKey): fronts priced
+// under different crosstalk scenarios answer different physics and must
+// never alias each other or the uncoupled front — and per-segment
+// coupling densities join the segment
 // profile so two nets differing only in cc cannot collide. Uncoupled
 // jobs on nets without coupling capacitance still emit the historical
 // key shape.
@@ -112,21 +111,7 @@ func (s *signer) key(j Job) string {
 		appendQuant(&b, z.End, s.lengthQuantum)
 		b.WriteByte(';')
 	}
-	// An explicit-factor job's front answers different physics per factor
-	// value: the factor joins the key so no two factors (or a factor and a
-	// named scenario) ever alias.
-	if j.MF != nil {
-		b.WriteString("|m")
-		appendFloat(&b, *j.MF)
-	}
-	if agg, err := delay.ParseAggressor(j.Aggressor); err == nil && agg != delay.AggressorNone {
-		b.WriteString("|a")
-		b.WriteString(agg.String())
-		if mode, err := delay.ParseSchemeMode(j.Scheme); err == nil {
-			b.WriteString("|s")
-			b.WriteString(mode.String())
-		}
-	}
+	j.Scenario.AppendKey(&b)
 	return b.String()
 }
 

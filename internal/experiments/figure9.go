@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/engine"
 	"github.com/rip-eda/rip/internal/netgen"
 	"github.com/rip-eda/rip/internal/power"
@@ -64,6 +65,14 @@ func Figure9(seed int64, nets int) (*Figure9Result, error) {
 		return nil, err
 	}
 	nodeNames := tech.BuiltinNames()
+	worstPlain, err := delay.ParseScenario("worst", "plain", nil)
+	if err != nil {
+		return nil, err
+	}
+	worstStaggered, err := delay.ParseScenario("worst", "staggered", nil)
+	if err != nil {
+		return nil, err
+	}
 
 	type netTag struct {
 		tech string
@@ -91,8 +100,7 @@ func Figure9(seed int64, nets int) (*Figure9Result, error) {
 		}
 		for i, n := range corpus {
 			plainJobs = append(plainJobs, engine.Job{
-				Net: n, Tech: name, TargetMult: mult,
-				Aggressor: "worst", Scheme: "plain",
+				Net: n, Tech: name, TargetMult: mult, Scenario: worstPlain,
 			})
 			tags = append(tags, netTag{tech: name, idx: i})
 		}
@@ -110,8 +118,7 @@ func Figure9(seed int64, nets int) (*Figure9Result, error) {
 			return nil, fmt.Errorf("experiments: figure 9 net %q on %s (plain): %w", r.Net.Name, tags[i].tech, r.Err)
 		}
 		stagJobs = append(stagJobs, engine.Job{
-			Net: r.Net, Tech: tags[i].tech, Target: r.Target,
-			Aggressor: "worst", Scheme: "staggered",
+			Net: r.Net, Tech: tags[i].tech, Target: r.Target, Scenario: worstStaggered,
 		})
 	}
 	stagRes := multi.Run(stagJobs)

@@ -67,6 +67,7 @@ import (
 
 	"github.com/rip-eda/rip/internal/api"
 	"github.com/rip-eda/rip/internal/cluster"
+	"github.com/rip-eda/rip/internal/delay"
 	"github.com/rip-eda/rip/internal/engine"
 )
 
@@ -81,13 +82,13 @@ type Options struct {
 	// DefaultTargetMult is applied to requests that carry no budget of
 	// their own (default 0: such requests fail per-net).
 	DefaultTargetMult float64
-	// DefaultAggressor / DefaultScheme are the crosstalk scenario applied
-	// to line requests that carry no "aggressor" of their own (default "":
-	// the classic ground-only model). An explicit "aggressor": "none" in a
-	// request always forces the uncoupled model. /v1/front is not defaulted
-	// — curve queries stay uncoupled unless the request opts in.
-	DefaultAggressor string
-	DefaultScheme    string
+	// DefaultScenario is the crosstalk scenario applied to line requests
+	// that carry neither "aggressor" nor "mf" (see
+	// api.Request.ApplyDefaultScenario; the zero value is the classic
+	// ground-only model). An explicit "aggressor": "none" always forces
+	// the uncoupled model. /v1/front is not defaulted — curve queries stay
+	// uncoupled unless the request opts in.
+	DefaultScenario delay.Scenario
 	// MaxBatchNets caps the nets accepted in one array-bodied batch
 	// (default 100000). JSONL bodies stream and are not subject to it.
 	MaxBatchNets int
@@ -287,7 +288,7 @@ func (s *Server) decodeSingle(w http.ResponseWriter, r *http.Request, front bool
 	}
 	req, err := api.ParseRequest(raw)
 	if err != nil {
-		s.fail(w, front, api.CodeBadRequest, "", "", err.Error())
+		s.fail(w, front, api.CodeBadRequest, req.Name(), req.Tech, err.Error())
 		return api.Request{}, false
 	}
 	// An unknown technology is a client error, answered before solving —
@@ -300,7 +301,7 @@ func (s *Server) decodeSingle(w http.ResponseWriter, r *http.Request, front bool
 	validate := req.ValidateFront
 	if !front {
 		req.ApplyDefault(s.opts.DefaultTargetMult, 0)
-		req.ApplyDefaultCoupling(s.opts.DefaultAggressor, s.opts.DefaultScheme)
+		req.ApplyDefaultScenario(s.opts.DefaultScenario)
 		validate = req.Validate
 	}
 	if err := validate(); err != nil {
@@ -463,6 +464,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchJSONL(ctx, w, br)
 }
 
+// feed is the batch paths' line parser: the server's default budget and
+// scenario.
+func (s *Server) feed() api.FeedOptions {
+	return api.FeedOptions{DefaultMult: s.opts.DefaultTargetMult, DefaultScenario: s.opts.DefaultScenario}
+}
+
 func (s *Server) batchArray(ctx context.Context, w http.ResponseWriter, br *bufio.Reader) {
 	// Elements decode individually (wrapper or bare net, like JSONL
 	// lines), so one malformed element fails alone, not the whole batch.
@@ -477,25 +484,25 @@ func (s *Server) batchArray(ctx context.Context, w http.ResponseWriter, br *bufi
 		return
 	}
 	jobs := make([]engine.Job, len(raws))
-	parseErrs := make(map[int]string)
+	parseErrs := make(map[int]api.Response)
+	feed := s.feed()
 	for i, raw := range raws {
-		req, err := api.ParseRequest(raw)
-		if err != nil {
-			parseErrs[i] = fmt.Sprintf("element %d: %v", i, err)
+		job, fail := feed.Line(raw, fmt.Sprintf("element %d", i))
+		if fail != nil {
+			parseErrs[i] = *fail
 			continue // zero job: the engine reports it as a nil-net failure
 		}
-		req.ApplyDefault(s.opts.DefaultTargetMult, 0)
-		req.ApplyDefaultCoupling(s.opts.DefaultAggressor, s.opts.DefaultScheme)
-		jobs[i] = req.Job()
+		jobs[i] = job
 	}
 	results := s.eng.RunContext(ctx, jobs)
 	out := make([]api.Response, len(results))
 	for i, res := range results {
 		out[i] = api.FromResult(res)
-		if msg, ok := parseErrs[i]; ok {
-			// The element never parsed, so its zero job's default-node
-			// attribution would be fiction: report only the failure.
-			out[i] = api.CodedErrorResponse(api.CodeBadRequest, "", "", msg)
+		if fail, ok := parseErrs[i]; ok {
+			// The element was refused before solving, so its zero job's
+			// default-node attribution would be fiction: report only the
+			// failure.
+			out[i] = fail
 		}
 		s.m.nets.Add(1)
 		if out[i].Err != nil {
@@ -528,26 +535,23 @@ func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufi
 	// reported at its position with its cause. Guarded: the feeder
 	// writes while the result loop reads.
 	var mu sync.Mutex
-	parseErrs := make(map[int]string)
-	note := func(idx int, msg string) {
+	parseErrs := make(map[int]api.Response)
+	note := func(idx int, fail api.Response) {
 		mu.Lock()
-		parseErrs[idx] = msg
+		parseErrs[idx] = fail
 		mu.Unlock()
 	}
 	go func() {
 		defer close(jobs)
-		fed, err := api.FeedJSONL(ctx, br, api.FeedOptions{
-			DefaultMult:      s.opts.DefaultTargetMult,
-			DefaultAggressor: s.opts.DefaultAggressor,
-			DefaultScheme:    s.opts.DefaultScheme,
-		}, jobs, note)
+		fed, err := api.FeedJSONL(ctx, br, s.feed(), jobs, note)
 		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			// The body broke mid-stream (client gone, line too long).
 			// Already-admitted jobs still produce their result lines;
 			// the read failure itself goes out as a trailing error
 			// line at the index after the last job, where the result
 			// loop picks it up once the stream drains.
-			note(fed, fmt.Sprintf("reading body after %d nets: %v", fed, err))
+			note(fed, api.CodedErrorResponse(api.CodeBadRequest, "", "",
+				fmt.Sprintf("reading body after %d nets: %v", fed, err)))
 		}
 	}()
 
@@ -566,10 +570,10 @@ func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufi
 	for res := range results {
 		resp := api.FromResult(res)
 		mu.Lock()
-		if msg, ok := parseErrs[res.Index]; ok {
-			// Unparsed lines carry only their failure, not the default
+		if fail, ok := parseErrs[res.Index]; ok {
+			// Refused lines carry only their failure, not the default
 			// node's tech attribution (see batchArray).
-			resp = api.CodedErrorResponse(api.CodeBadRequest, "", "", msg)
+			resp = fail
 		}
 		mu.Unlock()
 		s.m.nets.Add(1)
@@ -592,11 +596,11 @@ func (s *Server) batchJSONL(ctx context.Context, w http.ResponseWriter, br *bufi
 	// A body read error was recorded past the last admitted job: the
 	// input was truncated, and silence would look like success.
 	mu.Lock()
-	msg, truncated := parseErrs[emitted]
+	trailer, truncated := parseErrs[emitted]
 	mu.Unlock()
 	if truncated {
 		s.m.netErrors.Add(1)
-		enc.Encode(api.CodedErrorResponse(api.CodeBadRequest, "", "", msg)) //nolint:errcheck // best-effort trailer
+		enc.Encode(trailer) //nolint:errcheck // best-effort trailer
 	}
 	bw.Flush()
 }
